@@ -4,11 +4,14 @@ The randomized differential layers live in ``tests/conformance`` and
 ``tests/compact/test_batch_kernel_properties.py``; this module pins
 the deterministic surface: validation parity with the scalar facade,
 the numpy-free scalar fallback, oracle-filtered batches, the engine's
-dispatch rules, and the zero-copy view plumbing (CSR ``flat()``
-views, oracle label matrix) the kernel rides on.
+dispatch rules, the zero-copy view plumbing (CSR ``flat()`` views,
+oracle label matrix) the kernel rides on, a medium-scale parity case
+whose rows settle over many bucket rounds, and the kernel's memory
+bound (touched entries only, never a dense ``(P, |V|)`` table).
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -44,6 +47,27 @@ def directed():
     points = NodePointSet({pid: node for pid, node in
                            enumerate(rng.sample(range(30), 6))})
     return graph, points
+
+
+@pytest.fixture(scope="module")
+def medium():
+    """A ~2,500-node grid with 250 points, and a mixed batch over it:
+    k in {1, 2, 3}, eager and lazy, one exclude, one continuous route."""
+    graph = generate_grid(2_500, average_degree=4.0, seed=21)
+    points = place_node_points(graph, 0.1, seed=22)
+    rng = random.Random(23)
+    route = [rng.randrange(graph.num_nodes)]
+    for _ in range(4):
+        route.append(graph.neighbors(route[-1])[0][0])
+    specs = [
+        QuerySpec("rknn", query=rng.randrange(graph.num_nodes), k=k,
+                  method=method)
+        for k in (1, 2, 3) for method in ("eager", "lazy")
+    ]
+    specs.append(QuerySpec("rknn", query=rng.randrange(graph.num_nodes), k=2,
+                           exclude=frozenset({sorted(points.ids())[0]})))
+    specs.append(QuerySpec("continuous", route=tuple(route), k=2))
+    return graph, points, specs
 
 
 def _specs(queries, k=2, method="eager"):
@@ -231,3 +255,66 @@ def test_oracle_labels_matrix_view(undirected):
 
 def test_numpy_reported_available():
     assert numpy_available()
+
+
+#: Counter fields the kernel charges; each must conserve exactly.
+COUNTED = ("nodes_visited", "edges_expanded", "heap_pushes", "heap_pops",
+           "verifications", "oracle_prunes")
+
+
+def _assert_parity_and_conservation(db, specs):
+    scalar = _points_of(db._scalar_batch(specs))
+    before = db.tracker.snapshot()
+    results = db.batch_rknn(specs)
+    diff = db.tracker.diff(before)
+    assert _points_of(results) == scalar
+    assert any(scalar), "degenerate batch: every answer is empty"
+    for field in COUNTED:
+        assert sum(getattr(r.counters, field) for r in results) == \
+            getattr(diff, field), field
+    assert diff.nodes_visited > 0 and all(r.io == 0 for r in results)
+
+
+def test_medium_scale_parity_undirected(medium):
+    graph, points, specs = medium
+    _assert_parity_and_conservation(CompactDatabase(graph, points), specs)
+
+
+def test_medium_scale_parity_directed(medium):
+    graph, points, specs = medium
+    # each grid edge becomes two arcs of different weights, so forward
+    # and reverse distances disagree
+    rng = random.Random(24)
+    arcs = []
+    for u in range(graph.num_nodes):
+        for v, weight in graph.neighbors(u):
+            arcs.append((u, v, weight * rng.choice((0.5, 1.0, 2.0))))
+    digraph = DiGraph.from_arcs(arcs, num_nodes=graph.num_nodes)
+    # the directed facade names the lazy method "naive"
+    rknn_specs = [
+        QuerySpec("rknn", query=spec.query, k=spec.k, exclude=spec.exclude,
+                  method="eager" if spec.method == "eager" else "naive")
+        for spec in specs if spec.kind == "rknn"
+    ]
+    _assert_parity_and_conservation(
+        CompactDirectedDatabase(digraph, points), rknn_specs)
+
+
+def test_kernel_memory_stays_below_dense_table(medium):
+    """The kernel holds touched ``(row, node)`` entries only: its traced
+    peak stays under ``P * |V|`` bytes, an eighth of one dense float64
+    ``(P, |V|)`` distance table."""
+    graph, points, specs = medium
+    db = CompactDatabase(graph, points)
+    expected = _points_of(db._scalar_batch(specs))
+    tracemalloc.start()
+    try:
+        results = db.batch_rknn(specs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _points_of(results) == expected
+    dense_eighth = len(points) * graph.num_nodes
+    assert peak < dense_eighth, (
+        f"batch kernel peaked at {peak} bytes, above P*|V| = {dense_eighth}"
+    )
