@@ -44,16 +44,16 @@ def test_ablation_page_packing(benchmark, profile):
         from repro.core.network import NetworkView
         from repro.storage.disk import DiskGraph, EdgePointStore
 
-        random_db.disk = DiskGraph(
+        random_db.storage.adjacency = DiskGraph(
             graph, random_db.buffer,
             page_size=random_db.page_size, order=shuffled,
         )
-        random_db._edge_store = EdgePointStore(
-            graph, points, random_db.buffer,
-            page_size=random_db.page_size, order=shuffled,
-        )
         random_db.view = NetworkView(
-            random_db.disk, points, random_db.tracker, random_db._edge_store
+            random_db.disk, points, random_db.tracker,
+            EdgePointStore(
+                graph, points, random_db.buffer,
+                page_size=random_db.page_size, order=shuffled,
+            ),
         )
         layouts["random"] = random_db
 

@@ -28,9 +28,7 @@ Usage (also ``python -m repro``)::
     python -m repro serve sf.graph --port 8750 --backend compact --workers 4
 
 Backend selection is one shared option group: ``--backend
-{disk,sharded,compact}`` (+ ``--shard-count K``) and ``--oracle``; the
-old ``--shards K`` / ``--compact`` spellings still work as deprecated
-aliases but warn and will be removed.
+{disk,sharded,compact}`` (+ ``--shard-count K``) and ``--oracle``.
 
 The ``batch`` subcommand reads one JSON query spec per line (see
 :mod:`repro.engine.spec`), e.g.::
@@ -91,11 +89,8 @@ SEARCHES = ("dijkstra", "astar", "alt", "bidirectional")
 def _add_backend_arguments(parser) -> None:
     """Backend-selection flags shared by ``query``, ``batch``, ``serve``.
 
-    The modern surface is one option group: ``--backend
-    {disk,sharded,compact}`` (+ ``--shard-count``) and ``--oracle``.
-    The pre-redesign spellings ``--shards K`` and ``--compact`` remain
-    as deprecated aliases: they warn on use and will be removed in a
-    future release.
+    One option group: ``--backend {disk,sharded,compact}`` (+
+    ``--shard-count``) and ``--oracle``.
     """
     parser.add_argument("--backend", choices=("disk", "sharded", "compact"),
                         default=None,
@@ -105,12 +100,6 @@ def _add_backend_arguments(parser) -> None:
     parser.add_argument("--shard-count", type=int, default=4, metavar="K",
                         help="with --backend sharded: number of shards "
                         "(default 4)")
-    parser.add_argument("--shards", type=int, default=None, metavar="K",
-                        help="deprecated alias for --backend sharded "
-                        "--shard-count K (0 = unsharded); to be removed")
-    parser.add_argument("--compact", action="store_true",
-                        help="deprecated alias for --backend compact; "
-                        "to be removed")
     parser.add_argument("--compact-threshold", type=int, default=None,
                         metavar="N", help="with the compact backend: "
                         "auto-fold the delta-overlay log into a fresh CSR "
@@ -122,56 +111,24 @@ def _add_backend_arguments(parser) -> None:
                         metavar="L", help="landmark count for --oracle")
 
 
-def _warn_deprecated(flag: str, replacement: str) -> None:
-    """Point users of a pre-redesign flag at the ``--backend`` group."""
-    print(f"warning: {flag} is deprecated and will be removed in a future "
-          f"release; use {replacement}", file=sys.stderr)
-
-
 def _resolve_backend(args: argparse.Namespace) -> tuple[str, int]:
-    """Resolve the backend option group (and its deprecated aliases).
+    """Resolve the backend option group.
 
     Returns ``(backend, shard count)`` where ``backend`` is one of
-    ``"disk"``, ``"sharded"``, ``"compact"``.  Memoized on the
-    namespace so ``serve`` can pre-validate without double warnings.
+    ``"disk"``, ``"sharded"``, ``"compact"``.
     """
-    cached = getattr(args, "_resolved_backend", None)
-    if cached is not None:
-        return cached
-    backend = args.backend
-    shard_count = getattr(args, "shard_count", 4)
-    legacy_shards = getattr(args, "shards", None)
-    if getattr(args, "compact", False):
-        if legacy_shards is not None and legacy_shards > 0:
-            raise QueryError("--compact and --shards are mutually exclusive")
-        _warn_deprecated("--compact", "--backend compact")
-        if backend not in (None, "compact"):
-            raise QueryError(f"--compact conflicts with --backend {backend}")
-        backend = "compact"
-    if legacy_shards is not None:
-        if legacy_shards < 0:
-            raise QueryError(f"--shards must be >= 0, got {legacy_shards}")
-        _warn_deprecated("--shards", "--backend sharded --shard-count K")
-        if legacy_shards > 0:
-            if backend not in (None, "sharded"):
-                raise QueryError(
-                    f"--shards conflicts with --backend {backend}"
-                )
-            backend = "sharded"
-            shard_count = legacy_shards
-    backend = backend or "disk"
+    backend = args.backend or "disk"
+    shard_count = args.shard_count
     if backend == "sharded" and shard_count < 1:
         raise QueryError(f"--shard-count must be >= 1, got {shard_count}")
-    args._resolved_backend = (backend, shard_count)
-    return args._resolved_backend
+    return backend, shard_count
 
 
 def _open_backend(args: argparse.Namespace, graph, points):
     """Build the database the backend option group selects.
 
     Shared by ``query``, ``batch`` and ``serve``: validates the flag
-    combination (including the deprecated ``--shards``/``--compact``
-    aliases), constructs the disk / sharded / compact facade,
+    combination, constructs the disk / sharded / compact database,
     materializes K-NN lists and attaches the oracle when asked.
     Returns ``(db, backend label)``.
     """
@@ -312,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes; > 1 boots a multi-process "
                        "fleet over a shared mmap'd CSR snapshot "
-                       "(requires --compact)")
+                       "(requires --backend compact)")
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--materialize", type=int, default=0, metavar="K",
@@ -684,7 +641,7 @@ def _serve(args: argparse.Namespace) -> int:
         raise QueryError(
             "--workers > 1 runs a multi-process fleet over a shared CSR "
             "snapshot, which needs the compact backend: add --backend "
-            "compact (or the deprecated --compact alias)"
+            "compact"
         )
     graph, points = load_graph(args.graph)
     snapshot_dir: tempfile.TemporaryDirectory | None = None

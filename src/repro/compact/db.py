@@ -1,195 +1,110 @@
-"""Compact database facades: the paper's queries over CSR flat arrays.
+"""Compact databases: the paper's queries over CSR flat arrays.
 
-:class:`CompactDatabase` mirrors the restricted-network surface of
-:class:`~repro.api.GraphDatabase` -- kNN, range-NN, monochromatic /
-continuous / bichromatic RkNN, materialization, point updates, batch
-serving -- over a :class:`~repro.compact.store.CompactGraphStore`.
-The query algorithms are reused verbatim through the standard
-:class:`~repro.core.network.NetworkView`, so answers are **identical**
-to the disk-backed and sharded databases; what changes is the storage:
-adjacency lives in three flat arrays, reads are free (no pages, no
-buffer, no charged I/O) and a query's cost record counts only the
-algorithmic work (heap traffic, nodes visited, probes, CPU).
+:class:`CompactDatabase` and :class:`CompactDirectedDatabase` answer
+the queries of :class:`~repro.database.Database` /
+:class:`~repro.database.DirectedDatabase` over a :class:`CompactStore`.
+The query algorithms run unchanged through the standard views, so
+answers are **identical** to the disk-backed and sharded databases;
+what changes is the storage: adjacency lives in three flat arrays,
+reads are free (no pages, no buffer, no charged I/O) and a query's
+cost record counts only the algorithmic work (heap traffic, nodes
+visited, probes, CPU).
 
-:class:`CompactDirectedDatabase` is the directed counterpart
-(:class:`~repro.api_directed.DirectedGraphDatabase` surface).
-
-Because the store is immutable shared memory, :meth:`read_clone` is a
+Because the store is immutable shared memory, ``read_clone`` is a
 constant-time operation: a session is a new tracker over the *same*
 arrays, which is what lets the batch engine hand every worker a
 session without copying the graph (``backend="compact"`` mode).
+
+What exists only here: the vectorized :meth:`CompactDatabase.batch_rknn`
+kernel, and -- on the undirected database -- the LSM-style delta
+overlay (:meth:`~CompactDatabase.insert_edge`,
+:meth:`~CompactDatabase.delete_edge`, :meth:`~CompactDatabase.compact`,
+:meth:`~CompactDatabase.at_epoch`, :attr:`~CompactDatabase.stamp`) and
+on-disk snapshots.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import AbstractSet, Iterable, Sequence
 
 from repro.compact.batch import (
     BatchRequest,
     batch_rknn_kernel,
     numpy_available,
 )
+from repro.compact.csr import CSRDiGraph
 from repro.compact.overlay import DeltaOp, DeltaOverlay, OverlayGraphStore
 from repro.compact.store import (
     CompactDiGraphStore,
     CompactGraphStore,
     MemoryKnnStore,
 )
-from repro.core.bichromatic import (
-    bichromatic_eager,
-    bichromatic_eager_m,
-    bichromatic_lazy,
+from repro.core.result import RnnResult, UpdateResult
+from repro.database import (
+    DIRECTED_METHODS,
+    METHODS,
+    Database,
+    DirectedDatabase,
+    Store,
+    packing_order,
 )
-from repro.core.continuous import validate_route
-from repro.core.directed import (
-    DirectedView,
-    directed_all_nn,
-    directed_delete,
-    directed_insert,
-    directed_knn,
-    directed_range_nn,
-    directed_rknn,
-)
-from repro.core.eager import eager_rknn, eager_rknn_route
-from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
-from repro.core.lazy import lazy_rknn, lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
-from repro.core.materialize import MaterializedKNN, all_nn
-from repro.core.network import NetworkView
-from repro.core.nn import knn as restricted_knn
-from repro.core.nn import range_nn as restricted_range_nn
-from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
 from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph, edge_key
-from repro.graph.partition import bfs_order, hilbert_order
-from repro.oracle import (
-    DEFAULT_LANDMARKS,
-    DistanceOracle,
-    LowerOnlyBounds,
-    csr_landmark_distances,
-    resolve_oracle_source,
-    select_landmarks,
-)
+from repro.graph.partition import bfs_order
+from repro.oracle import LowerOnlyBounds, csr_landmark_distances
 from repro.points.points import NodePointSet
 from repro.storage.stats import CostTracker
 
-_EMPTY: frozenset[int] = frozenset()
-
-#: RkNN methods served by the compact undirected facade.
-METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
-
-#: RkNN methods served by the compact directed facade.
-DIRECTED_METHODS = ("eager", "eager-m", "naive")
-
-
-def _require_node_points(points: NodePointSet | None, graph_nodes: int) -> NodePointSet:
-    """Validate the restricted point set shared by both compact facades."""
-    if points is None:
-        points = NodePointSet({})
-    if not isinstance(points, NodePointSet):
-        raise QueryError(
-            "the compact backend serves restricted networks "
-            "(NodePointSet); edge-resident points are unsupported"
-        )
-    for pid, node in points.items():
-        if not 0 <= node < graph_nodes:
-            raise QueryError(f"point {pid} lies on unknown node {node}")
-    return points
+__all__ = [
+    "CompactDatabase",
+    "CompactDirectedDatabase",
+    "CompactStore",
+    "DIRECTED_METHODS",
+    "METHODS",
+]
 
 
-class _CompactMeasureMixin:
-    """Measurement and session plumbing shared by both compact facades."""
+class CompactStore(Store):
+    """Memory-resident CSR storage: free reads, in-memory side files.
 
-    #: Engine-visible backend tag (see :func:`repro.engine.planner.backend_of`).
+    Parameters
+    ----------
+    adjacency:
+        A :class:`~repro.compact.store.CompactGraphStore`,
+        :class:`~repro.compact.store.CompactDiGraphStore`, or -- while
+        edge deltas are pending -- an
+        :class:`~repro.compact.overlay.OverlayGraphStore`.
+    """
+
     backend = "compact"
+    persists_labels = False
 
-    def _measure(self, func):
-        before = self.tracker.snapshot()
-        with self.tracker.time_block():
-            outcome = func()
-        diff = self.tracker.diff(before)
-        return outcome, diff
+    def __init__(self, adjacency):
+        super().__init__(adjacency, CostTracker())
 
-    def _batch_measure(self, flat, requests, oracle):
-        """Run the vectorized kernel under this facade's cost tracking.
+    def knn_store(self, num_nodes: int, capacity: int, lists) -> MemoryKnnStore:
+        """Materialized K-NN lists held in memory (uncharged)."""
+        return MemoryKnnStore(num_nodes, capacity, lists)
 
-        The kernel's per-request charges are merged into the facade
-        tracker inside the timed block (exactly where the scalar path
-        charges its work), then the measured CPU is apportioned evenly
-        across the batch so per-query records stay comparable to
-        scalar ones.
-        """
-        before = self.tracker.snapshot()
-        with self.tracker.time_block():
-            answers, charges = batch_rknn_kernel(
-                flat, self.store.num_nodes, sorted(self.points.items()),
-                requests, oracle=oracle,
-            )
-            for charge in charges:
-                self.tracker.merge(charge)
-        diff = self.tracker.diff(before)
-        cpu_each = diff.cpu_seconds / max(1, len(requests))
-        results = []
-        for answer, charge in zip(answers, charges):
-            charge.cpu_seconds = cpu_each
-            results.append(
-                RnnResult(tuple(answer), charge.io_operations, cpu_each, charge)
-            )
-        return tuple(results)
+    def landmark_distances(self, num_nodes: int, source: int) -> list[float]:
+        """One landmark's table: a NumPy-vectorized relaxation over the
+        CSR arrays, or the store Dijkstra over ``neighbors`` without
+        NumPy."""
+        if numpy_available():
+            return csr_landmark_distances(self.adjacency.csr, source)
+        return super().landmark_distances(num_nodes, source)
 
-    # -- cost measurement ---------------------------------------------------
-
-    def reset_stats(self) -> None:
-        """Zero the counters."""
-        self.tracker.reset()
-
-    def clear_buffer(self) -> None:
-        """No-op: the compact store has no buffer to cool.
-
-        Kept so workloads written against the disk backends (which
-        call ``clear_buffer`` between cold runs) run unchanged.
-        """
-
-    # -- serving ------------------------------------------------------------
-
-    def engine(self, **kwargs) -> "QueryEngine":
-        """A batch :class:`~repro.engine.engine.QueryEngine` over this
-        database.
-
-        Parameters
-        ----------
-        **kwargs:
-            Forwarded to the engine constructor (``cache_entries``,
-            ``calibrator``, ``plan``, ``batch_kernel``).  The engine
-            detects the compact backend: worker sessions share these
-            read-only arrays instead of cloning storage, and batched
-            RkNN specs execute through the vectorized
-            :meth:`~CompactDatabase.batch_rknn` kernel unless
-            ``batch_kernel=False``.
-
-        Returns
-        -------
-        QueryEngine
-        """
-        from repro.engine.engine import QueryEngine
-
-        return QueryEngine(self, **kwargs)
-
-    def query(self, statement):
-        """Answer a qlang statement (or spec) on this database.
-
-        See :meth:`repro.api.GraphDatabase.query`; on the compact
-        backend, batchable sub-queries of compiled plans execute
-        through the vectorized :meth:`batch_rknn` kernel.
-        """
-        from repro.qlang import execute
-
-        return execute(self, statement)
+    def kernel_arrays(self):
+        """Flat CSR views for the batch kernel (out-arcs when directed),
+        or ``None`` while pending edge deltas hide the base arrays."""
+        csr = getattr(self.adjacency, "csr", None)
+        if csr is None:
+            return None
+        return csr.out_flat() if isinstance(csr, CSRDiGraph) else csr.flat()
 
 
-class CompactDatabase(_CompactMeasureMixin):
+class CompactDatabase(Database):
     """Memory-resident CSR graph database answering (reverse) NN queries.
 
     Parameters
@@ -220,34 +135,18 @@ class CompactDatabase(_CompactMeasureMixin):
         node_order: str = "bfs",
         compact_threshold: int | None = None,
     ):
-        points = _require_node_points(points, graph.num_nodes)
-        points.validate(graph)
-        self.graph = graph
-        self.points = points
-        self.tracker = CostTracker()
-        if node_order == "bfs":
-            order = bfs_order(graph)
-        elif node_order == "hilbert":
-            order = hilbert_order(graph)
-        else:
-            raise QueryError(f"unknown node_order {node_order!r}")
-        self.store = CompactGraphStore(graph, order=order)
-        self.view = NetworkView(self.store, points, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Landmark distance oracle (see :meth:`build_oracle`); ``None``
-        #: until built or opened.  The compact backend keeps it purely
-        #: in memory (no pages to persist to).
-        self.oracle: DistanceOracle | None = None
-        self._ref_points: NodePointSet | None = None
-        self._ref_view: NetworkView | None = None
-        self._ref_materialized: MaterializedKNN | None = None
-        #: Update generation: bumped by every point insertion/deletion
-        #: (the query engine keys its result cache on this counter).
-        self.generation = 0
-        self._init_overlay(compact_threshold)
+        self._setup(
+            graph, points,
+            CompactGraphStore(graph, order=packing_order(graph, node_order)),
+            compact_threshold,
+        )
 
-    def _init_overlay(self, compact_threshold: int | None) -> None:
-        """Start the delta-overlay state at ``(base 0, epoch 0)``."""
+    def _setup(self, graph, points, adjacency, compact_threshold) -> None:
+        """The one construction path (constructor, promotion, snapshot
+        load): validate P, bind the store, start the overlay at
+        ``(base 0, epoch 0)``."""
+        points = self._checked_points(graph, points, "compact")
+        Database.__init__(self, graph, points, CompactStore(adjacency))
         if compact_threshold is not None and compact_threshold < 1:
             raise QueryError(
                 f"compact_threshold must be >= 1, got {compact_threshold}"
@@ -255,41 +154,15 @@ class CompactDatabase(_CompactMeasureMixin):
         #: Append-only mutation log over the immutable base (see
         #: :mod:`repro.compact.overlay`).
         self.overlay = DeltaOverlay(self.points)
-        #: Base generation: bumped only by :meth:`compact`.
+        #: Base generation: bumped by :meth:`compact` and reference swaps.
         self.base_generation = 0
         #: Delta epoch: operations appended since the last compaction.
         self.delta_epoch = 0
         self.compact_threshold = compact_threshold
-        self._base_store = self.store
-        self._base_graph = self.graph
+        self._base_store = adjacency
+        self._base_graph = graph
         self._live_weights: dict[tuple[int, int], float] | None = None
         self._time_travel = False
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "CompactDatabase":
-        """Build a compact database straight from an edge list.
-
-        Parameters
-        ----------
-        edges:
-            ``(u, v, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor (``node_order``).
-
-        Returns
-        -------
-        CompactDatabase
-        """
-        return cls(Graph.from_edges(edges), points, **kwargs)
 
     @classmethod
     def from_database(cls, db) -> "CompactDatabase":
@@ -308,28 +181,13 @@ class CompactDatabase(_CompactMeasureMixin):
             A database answering every restricted query identically to
             ``db``, without page I/O.
         """
-        points = _require_node_points(db.points, db.graph.num_nodes)
         compact = cls.__new__(cls)
-        compact.graph = db.graph
-        compact.points = points
-        compact.tracker = CostTracker()
-        compact.store = CompactGraphStore.from_disk(db.disk)
-        compact.view = NetworkView(compact.store, points, compact.tracker)
-        compact.materialized = None
-        compact.oracle = None
-        compact._ref_points = None
-        compact._ref_view = None
-        compact._ref_materialized = None
-        compact.generation = 0
-        compact._init_overlay(None)
+        compact._setup(
+            db.graph, db.points, CompactGraphStore.from_disk(db.disk), None
+        )
         return compact
 
     # -- properties ---------------------------------------------------------
-
-    @property
-    def restricted(self) -> bool:
-        """Always true: the compact backend stores points on nodes."""
-        return True
 
     @property
     def stamp(self) -> tuple[int, int]:
@@ -352,165 +210,6 @@ class CompactDatabase(_CompactMeasureMixin):
             self.compact_threshold is not None
             and self.overlay.epoch >= self.compact_threshold
         )
-
-    @property
-    def disk(self):
-        """The compact store, exposed under the facade's disk slot.
-
-        The engine's admission planner only needs ``disk.page_of``;
-        the compact store serves the packing-order locality rank.
-        """
-        return self.store
-
-    @property
-    def reference_points(self) -> NodePointSet | None:
-        """The attached bichromatic reference set Q (``None`` before
-        :meth:`attach_reference`)."""
-        return self._ref_points
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute the K-NN lists of every node (paper Section 4.1).
-
-        Parameters
-        ----------
-        capacity:
-            The paper's ``K``: the largest ``k`` any future ``eager-m``
-            query may use (data-distributed queries that exclude their
-            own point effectively need ``K >= k + 1``).
-        """
-        lists = all_nn(
-            self.view,
-            capacity,
-            [(node, pid, 0.0) for pid, node in self.points.items()],
-        )
-        store = MemoryKnnStore(self.graph.num_nodes, capacity, lists)
-        self.materialized = MaterializedKNN(store)
-
-    def materialize_reference(self, capacity: int) -> None:
-        """Materialize K-NN lists over the attached reference set Q.
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` for the reference materialization
-            (required by bichromatic ``eager-m``).
-        """
-        if self._ref_view is None or self._ref_points is None:
-            raise QueryError("attach_reference() before materialize_reference()")
-        lists = all_nn(
-            self._ref_view,
-            capacity,
-            [(node, pid, 0.0) for pid, node in self._ref_points.items()],
-        )
-        store = MemoryKnnStore(self.graph.num_nodes, capacity, lists)
-        self._ref_materialized = MaterializedKNN(store)
-
-    # -- bichromatic reference set ------------------------------------------
-
-    def attach_reference(self, reference: NodePointSet) -> None:
-        """Attach the reference set Q for bichromatic queries.
-
-        Parameters
-        ----------
-        reference:
-            A :class:`~repro.points.points.NodePointSet`; the facade's
-            own points act as P.  Swapping Q bumps the generation so
-            cached bichromatic answers invalidate.
-        """
-        if not isinstance(reference, NodePointSet):
-            raise QueryError("the compact backend takes node-resident references")
-        reference.validate(self.graph)
-        self._ref_points = reference
-        self._ref_view = NetworkView(
-            self.store, reference, self.tracker, bounds=self.oracle
-        )
-        self._ref_materialized = None
-        self.generation += 1
-        # Swapping Q replaces an immutable input outside the delta log,
-        # so it moves the *base* half of the snapshot stamp -- cached
-        # bichromatic answers keyed on the old stamp become unreachable.
-        self.base_generation += 1
-
-    # -- landmark distance oracle -------------------------------------------
-
-    def build_oracle(
-        self,
-        count: int = DEFAULT_LANDMARKS,
-        *,
-        seed: int = 0,
-        strategy: str = "farthest",
-    ) -> OracleResult:
-        """Build and attach an ALT landmark distance oracle (CPU only).
-
-        One single-source Dijkstra per landmark runs directly over the
-        CSR flat arrays, with the relaxation step vectorized across
-        each adjacency range -- no pages, no buffer, no charged I/O.
-        The oracle stays in memory (the compact backend has no disk
-        store to persist to; use :meth:`open_oracle` to share a label
-        table built by a paged backend, or hand this oracle to one).
-
-        Parameters
-        ----------
-        count:
-            Number of landmarks ``L``.
-        seed:
-            Seeds the first landmark pick.
-        strategy:
-            ``"farthest"`` (default) or ``"random"``.
-
-        Returns
-        -------
-        OracleResult
-            The selected landmarks plus the CPU-only cost record.
-        """
-        self._require_base_network("build_oracle")
-
-        def run():
-            landmarks, tables = select_landmarks(
-                lambda source: csr_landmark_distances(self.store.csr, source),
-                self.graph.num_nodes,
-                count,
-                seed=seed,
-                strategy=strategy,
-            )
-            return DistanceOracle(landmarks, tables)
-
-        oracle, diff = self._measure(run)
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(
-            oracle.landmarks, oracle.storage_entries, 0,
-            diff.io_operations, diff.cpu_seconds, diff,
-        )
-
-    def open_oracle(self, source) -> OracleResult:
-        """Attach an oracle built elsewhere (store or oracle object).
-
-        Parameters
-        ----------
-        source:
-            A persisted :class:`~repro.oracle.store.LandmarkStore`
-            (decoded uncharged) or a ready
-            :class:`~repro.oracle.oracle.DistanceOracle` built by any
-            backend over the same graph.
-
-        Returns
-        -------
-        OracleResult
-            The attached landmarks (opening charges no I/O).
-        """
-        self._require_base_network("open_oracle")
-        oracle, _, _ = resolve_oracle_source(source, self.graph.num_nodes)
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(oracle.landmarks, oracle.storage_entries, 0, 0, 0.0)
-
-    def _attach_bounds(self, bounds) -> None:
-        self.view.bounds = bounds
-        if self._ref_view is not None:
-            self._ref_view.bounds = bounds
 
     # -- snapshots ----------------------------------------------------------
 
@@ -568,29 +267,6 @@ class CompactDatabase(_CompactMeasureMixin):
 
     # -- sessions -----------------------------------------------------------
 
-    def read_clone(self) -> "CompactDatabase":
-        """A read-only session **sharing** this database's CSR arrays.
-
-        Returns
-        -------
-        CompactDatabase
-            A constant-time clone: the flat arrays and materialized
-            lists are shared read-only; only the tracker (and the
-            views bound to it) is private, so concurrent sessions
-            never race on counters.  Running updates through a clone
-            is unsupported.
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.view = NetworkView(
-            self.store, clone.points, clone.tracker, bounds=self.oracle
-        )
-        if self._ref_points is not None:
-            clone._ref_view = NetworkView(
-                self.store, self._ref_points, clone.tracker, bounds=self.oracle
-            )
-        return clone
-
     def at_epoch(self, epoch: int) -> "CompactDatabase":
         """A pinned read-only session answering as of delta ``epoch``.
 
@@ -623,101 +299,23 @@ class CompactDatabase(_CompactMeasureMixin):
         points = self.overlay.points_at(epoch)
         edge_ops = self.overlay.edge_ops_at(epoch)
         session = copy.copy(self)
-        session.tracker = CostTracker()
-        session.points = points
-        session.graph = self._base_graph
-        session.store = (
+        session.storage = self.storage.read_clone()
+        session.storage.adjacency = (
             self._base_store if not edge_ops
             else OverlayGraphStore(self._base_store, edge_ops)
         )
+        session.points = points
+        session.graph = self._base_graph
         session.materialized = None
         session._ref_points = None
         session._ref_view = None
         session._ref_materialized = None
         if any(op.kind == "insert-edge" for op in edge_ops):
             session.oracle = None
-        session.view = NetworkView(
-            session.store, points, session.tracker, bounds=session.oracle
-        )
+        session._rebuild_views()
         session.delta_epoch = epoch
         session._time_travel = True
         return session
-
-    # -- monochromatic RkNN -------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Reverse k-nearest-neighbor query (paper Sections 3-5).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`METHODS`; ``eager-m`` needs
-            :meth:`materialize` first.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors plus the cost record (zero I/O: the
-            compact store never faults).
-        """
-        self._check_query(query, k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn([query], k, method, exclude, route=False)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def continuous_rknn(
-        self,
-        route: Sequence[int],
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Continuous RkNN along a route of nodes (Section 5.1).
-
-        Parameters
-        ----------
-        route:
-            A walk: consecutive nodes must share an edge.
-        k / method / exclude:
-            As in :meth:`rknn`.
-
-        Returns
-        -------
-        RnnResult
-        """
-        validate_route(self.view, route)
-        self._check_query(route[0], k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn(list(route), k, method, exclude, route=True)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def _run_rknn(self, sources, k, method, exclude, *, route):
-        if method == "eager":
-            runner = eager_rknn_route if route else eager_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        if method == "lazy":
-            runner = lazy_rknn_route if route else lazy_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        if method == "lazy-ep":
-            runner = lazy_ep_rknn_route if route else lazy_ep_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        mat = self._require_mat()
-        runner = eager_m_rknn_route if route else eager_m_rknn
-        return runner(self.view, mat, sources if route else sources[0], k, exclude)
 
     # -- vectorized batch kernel --------------------------------------------
 
@@ -729,259 +327,104 @@ class CompactDatabase(_CompactMeasureMixin):
 
         All candidate expansions run together as a bucketed
         multi-source Dijkstra over numpy views of the CSR arrays (see
-        :mod:`repro.compact.batch`), with the attached landmark oracle
-        -- when profitable -- filtering whole candidate rows up front.
-        Answers are bitwise identical to looping the scalar facade
-        over the specs; each spec is validated exactly as its scalar
-        counterpart would validate it.
+        :mod:`repro.compact.batch`) -- forward over the out-arcs on a
+        directed database, where membership compares ``d(p -> q)``
+        against the point's k-th nearest competitor -- with the
+        attached landmark oracle, when profitable, filtering whole
+        candidate rows up front.  Answers are bitwise identical to
+        looping the scalar queries over the specs; each spec is
+        validated exactly as its scalar counterpart would validate it.
 
         Parameters
         ----------
         specs:
-            :class:`~repro.engine.spec.QuerySpec` values of kind
-            ``"rknn"`` or ``"continuous"`` (see :attr:`batch_kinds`).
-            Methods are accepted for surface parity but do not change
-            the vectorized plan (every method answers identically).
+            :class:`~repro.engine.spec.QuerySpec` values of the kinds
+            in :attr:`batch_kinds`.  Methods are accepted for surface
+            parity but do not change the vectorized plan (every method
+            answers identically).
 
         Returns
         -------
         tuple[RnnResult, ...]
             One result per spec, in order, each carrying its share of
             the batch's charged cost (zero I/O; the per-query counters
-            sum to the batch total).  Without numpy the batch falls
-            back to the scalar per-spec loop, answers unchanged.
+            sum to the batch total).  Without numpy -- or while edge
+            deltas are pending -- the batch falls back to the scalar
+            per-spec loop, answers unchanged.
         """
         specs = list(specs)
         requests = []
         for spec in specs:
-            if spec.kind == "rknn":
-                self._check_query(spec.query, spec.k, spec.method)
-                sources = (spec.query,)
-            elif spec.kind == "continuous":
-                validate_route(self.view, spec.route)
-                self._check_query(spec.route[0], spec.k, spec.method)
-                sources = tuple(spec.route)
-            else:
+            if spec.kind not in self.batch_kinds:
                 raise QueryError(
                     f"batch_rknn serves kinds {self.batch_kinds}, "
                     f"got {spec.kind!r}"
                 )
-            if spec.method == "eager-m":
-                mat = self._require_mat()
-                if spec.k > mat.capacity:
-                    raise QueryError(
-                        f"k={spec.k} exceeds the materialized capacity "
-                        f"K={mat.capacity}"
-                    )
-            requests.append(
-                BatchRequest(sources, spec.k, frozenset(spec.exclude))
-            )
+            if spec.kind == "continuous":
+                self._check_route(spec.route, spec.k, spec.method)
+                sources = tuple(spec.route)
+            else:
+                self._check_query(spec.query, spec.k, spec.method)
+                sources = (spec.query,)
+            if spec.method == "eager-m" and spec.k > self._require_mat().capacity:
+                raise QueryError(
+                    f"k={spec.k} exceeds the materialized capacity "
+                    f"K={self.materialized.capacity}"
+                )
+            requests.append(BatchRequest(sources, spec.k, frozenset(spec.exclude)))
         if not specs:
             return ()
-        # Pending *edge* deltas hide the store's raw CSR arrays (the
-        # overlay shim has no ``csr``), so the batch falls back to the
-        # scalar loop until compaction folds the log; point deltas keep
-        # the kernel, since candidate placements are passed explicitly.
-        csr = getattr(self.store, "csr", None)
-        if csr is None or not numpy_available():
+        # Pending *edge* deltas hide the store's raw CSR arrays, so the
+        # batch falls back to the scalar loop until compaction folds
+        # the log; point deltas keep the kernel, since candidate
+        # placements are passed explicitly.
+        flat = self.storage.kernel_arrays()
+        if flat is None or not numpy_available():
             return tuple(self._scalar_batch(specs))
-        return self._batch_measure(csr.flat(), requests, self.oracle)
+        tracker = self.tracker
+        before = tracker.snapshot()
+        with tracker.time_block():
+            answers, charges = batch_rknn_kernel(
+                flat, self.store.num_nodes, sorted(self.points.items()),
+                requests, oracle=self.oracle,
+            )
+            # charged inside the timed block, exactly where the scalar
+            # path charges its work
+            for charge in charges:
+                tracker.merge(charge)
+        # the measured CPU is apportioned evenly across the batch, so
+        # per-query records stay comparable to scalar ones
+        cpu_each = tracker.diff(before).cpu_seconds / len(requests)
+        results = []
+        for answer, charge in zip(answers, charges):
+            charge.cpu_seconds = cpu_each
+            results.append(
+                RnnResult(tuple(answer), charge.io_operations, cpu_each, charge)
+            )
+        return tuple(results)
 
-    def _scalar_batch(self, specs):
+    def _scalar_batch(self, specs) -> list[RnnResult]:
         """Per-spec scalar loop: the numpy-free ``batch_rknn`` fallback."""
         results = []
         for spec in specs:
             route = spec.kind == "continuous"
-            sources = list(spec.route) if route else [spec.query]
-            points, diff = self._measure(
-                lambda sources=sources, spec=spec, route=route: self._run_rknn(
-                    sources, spec.k, spec.method, spec.exclude, route=route
-                )
-            )
-            results.append(
-                RnnResult(tuple(points), diff.io_operations,
-                          diff.cpu_seconds, diff)
-            )
+            source = list(spec.route) if route else spec.query
+            results.append(self._measured(
+                RnnResult,
+                lambda spec=spec, source=source, route=route: tuple(
+                    self._run_rknn(source, spec.k, spec.method, spec.exclude,
+                                   route=route)
+                ),
+            ))
         return results
 
-    # -- bichromatic RkNN ---------------------------------------------------
-
-    def bichromatic_rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Bichromatic RkNN against the attached reference set.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size among *reference* points.
-        method:
-            ``"eager"``, ``"lazy"`` or ``"eager-m"`` (the latter needs
-            :meth:`materialize_reference`).
-        exclude:
-            Reference point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            Database points that keep the query among their k nearest
-            reference points.
-        """
-        if self._ref_view is None:
-            raise QueryError("attach_reference() before bichromatic queries")
-        self._check_query(query, k, method)
-
-        def run() -> list[int]:
-            if method == "eager":
-                return bichromatic_eager(self.view, self._ref_view, query, k, exclude)
-            if method == "lazy":
-                return bichromatic_lazy(self.view, self._ref_view, query, k, exclude)
-            if method == "eager-m":
-                if self._ref_materialized is None:
-                    raise QueryError(
-                        "materialize_reference() before bichromatic eager-m"
-                    )
-                return bichromatic_eager_m(
-                    self.view, self._ref_view, self._ref_materialized,
-                    query, k, exclude,
-                )
-            raise QueryError(
-                "bichromatic queries support methods 'eager', 'lazy', 'eager-m'"
-            )
-
-        points, diff = self._measure(run)
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- plain NN queries ---------------------------------------------------
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest data points of a node.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, network distance)`` pairs in ascending order.
-        """
-        def run() -> list[tuple[int, float]]:
-            if not isinstance(query, int):
-                raise QueryError("the compact backend takes node-id queries")
-            return restricted_knn(self.view, query, k, exclude)
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """``range-NN(n, k, e)``: k nearest points strictly within ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict distance bound ``e``.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: restricted_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            Number of updated K-NN lists plus the cost record.
-        """
-        self._require_writable()
-
-        def run() -> int:
-            if not isinstance(node, int):
-                raise QueryError("the compact backend takes node-id locations")
-            self.points = self.points.with_point(pid, node)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.insert(self.view, pid, [(node, 0.0)])
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_op(DeltaOp("insert-point", pid=pid, node=node))
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-        """
-        self._require_writable()
-
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.delete(self.view, pid, [(node, 0.0)])
-            return 0
-
-        affected, diff = self._measure(run)
-        self._log_op(DeltaOp("delete-point", pid=pid))
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
+    # -- overlay mutations ----------------------------------------------------
 
     def insert_edge(self, u: int, v: int, weight: float) -> UpdateResult:
         """Append an edge insertion to the delta overlay.
 
         The CSR base stays untouched: the new edge lives in the delta
-        log, and the facade's store becomes (or remains) the merged
+        log, and the database's store becomes (or remains) the merged
         overlay view, so pinned readers -- ``read_clone()`` sessions
         and :meth:`at_epoch` snapshots -- keep answering over the
         state they captured.  Edge deltas suspend the fast paths built
@@ -1025,9 +468,9 @@ class CompactDatabase(_CompactMeasureMixin):
             self.oracle = None
             return self.overlay.epoch + 1
 
-        affected, diff = self._measure(run)
-        self._log_op(DeltaOp("insert-edge", u=u, v=v, weight=float(weight)))
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
+        result = self._measured(UpdateResult, run)
+        self._log_update("insert-edge", u=u, v=v, weight=float(weight))
+        return result
 
     def delete_edge(self, u: int, v: int) -> UpdateResult:
         """Append an edge deletion to the delta overlay.
@@ -1066,11 +509,9 @@ class CompactDatabase(_CompactMeasureMixin):
                 self.oracle = LowerOnlyBounds(self.oracle)
             return self.overlay.epoch + 1
 
-        affected, diff = self._measure(run)
-        self._log_op(DeltaOp("delete-edge", u=u, v=v))
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- compaction ----------------------------------------------------------
+        result = self._measured(UpdateResult, run)
+        self._log_update("delete-edge", u=u, v=v)
+        return result
 
     def compact(self) -> UpdateResult:
         """Fold the delta log into a fresh immutable base generation.
@@ -1108,24 +549,16 @@ class CompactDatabase(_CompactMeasureMixin):
                 )
                 self.graph = graph
                 self._base_graph = graph
-                self.store = CompactGraphStore(graph, order=bfs_order(graph))
-            else:
-                self.store = self._base_store
-            self._base_store = self.store
+                self._base_store = CompactGraphStore(graph, order=bfs_order(graph))
+            self.storage.adjacency = self._base_store
             self.overlay = DeltaOverlay(self.points)
             self.base_generation += 1
             self.delta_epoch = 0
             self._live_weights = None
-            self._rebuild_view()
-            if self._ref_points is not None:
-                self._ref_view = NetworkView(
-                    self.store, self._ref_points, self.tracker,
-                    bounds=self.oracle,
-                )
+            self._rebuild_views()
             return folded
 
-        folded, diff = self._measure(run)
-        return UpdateResult(folded, diff.io_operations, diff.cpu_seconds, diff)
+        return self._measured(UpdateResult, run)
 
     def _merged_edges(self) -> list[tuple[int, int, float]]:
         """The head edge sequence: base order with the log replayed.
@@ -1148,51 +581,36 @@ class CompactDatabase(_CompactMeasureMixin):
     def _edge_weights(self) -> dict[tuple[int, int], float]:
         """The live (head) edge table, built lazily on first edge mutation."""
         if self._live_weights is None:
-            live = {
-                edge_key(u, v): w for u, v, w in self._base_graph.edges()
+            self._live_weights = {
+                edge_key(u, v): w for u, v, w in self._merged_edges()
             }
-            for op in self.overlay.edge_ops_at(self.overlay.epoch):
-                key = edge_key(op.u, op.v)
-                if op.kind == "insert-edge":
-                    live[key] = float(op.weight)
-                else:
-                    del live[key]
-            self._live_weights = live
         return self._live_weights
 
-    def _log_op(self, op: DeltaOp) -> None:
+    def _log_update(self, kind: str, **fields) -> None:
         """Append a validated mutation: bump the epoch, rebind views,
         auto-compact past the threshold.  Never drains readers --
         pinned sessions keep their captured store/point references."""
+        op = DeltaOp(kind, **fields)
         self.delta_epoch = self.overlay.append(op)
         if op.is_edge_op:
-            self.store = OverlayGraphStore(
+            self.storage.adjacency = OverlayGraphStore(
                 self._base_store, self.overlay.edge_ops_at(self.delta_epoch)
             )
-        self._rebuild_view()
-        if self._ref_points is not None:
-            self._ref_view = NetworkView(
-                self.store, self._ref_points, self.tracker, bounds=self.oracle
-            )
+        self._rebuild_views()
         self.generation += 1
         if self.needs_compaction:
             self.compact()
 
+    def _reference_swapped(self) -> None:
+        # Swapping Q replaces an immutable input outside the delta log,
+        # so it moves the *base* half of the snapshot stamp -- cached
+        # bichromatic answers keyed on the old stamp become unreachable.
+        self.generation += 1
+        self.base_generation += 1
+
     def _require_writable(self) -> None:
         if self._time_travel:
             raise QueryError("time-travel sessions are read-only")
-
-    def _rebuild_view(self) -> None:
-        self.view = NetworkView(
-            self.store, self.points, self.tracker, bounds=self.oracle
-        )
-
-    # -- validation helpers -------------------------------------------------
-
-    def _require_mat(self) -> MaterializedKNN:
-        if self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
-        return self.materialized
 
     def _require_base_network(self, what: str) -> None:
         if self.overlay.edge_op_count:
@@ -1201,64 +619,26 @@ class CompactDatabase(_CompactMeasureMixin):
                 "edge delta(s) pending -- compact() first"
             )
 
-    def _check_query(self, query: int, k: int, method: str) -> None:
-        if method not in METHODS:
-            raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not isinstance(query, int):
-            raise QueryError("the compact backend takes node-id queries")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
 
-
-class CompactDirectedDatabase(_CompactMeasureMixin):
+class CompactDirectedDatabase(DirectedDatabase):
     """Memory-resident CSR directed graph database answering RkNN queries.
 
-    Mirrors :class:`~repro.api_directed.DirectedGraphDatabase` over a
+    The directed queries over a
     :class:`~repro.compact.store.CompactDiGraphStore`: backward
     expansions and forward probes read the two CSR direction arrays,
     free of page I/O.
+
+    Parameters
+    ----------
+    graph:
+        The directed network, flattened once into CSR arrays.
+    points:
+        The data set P (``None`` creates an empty set).
     """
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        points: NodePointSet | None = None,
-    ):
-        points = _require_node_points(points, graph.num_nodes)
-        self.graph = graph
-        self.points = points
-        self.tracker = CostTracker()
-        self.store = CompactDiGraphStore(graph)
-        self.view = DirectedView(self.store, points, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Update generation (see :class:`CompactDatabase`).
-        self.generation = 0
-
-    @classmethod
-    def from_arcs(
-        cls,
-        arcs: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "CompactDirectedDatabase":
-        """Build a compact directed database straight from an arc list.
-
-        Parameters
-        ----------
-        arcs:
-            ``(tail, head, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor.
-
-        Returns
-        -------
-        CompactDirectedDatabase
-        """
-        return cls(DiGraph.from_arcs(arcs), points, **kwargs)
+    def __init__(self, graph: DiGraph, points: NodePointSet | None = None):
+        points = self._checked_points(graph, points, "compact")
+        super().__init__(graph, points, CompactStore(CompactDiGraphStore(graph)))
 
     @classmethod
     def from_database(cls, db) -> "CompactDirectedDatabase":
@@ -1276,266 +656,14 @@ class CompactDirectedDatabase(_CompactMeasureMixin):
         CompactDirectedDatabase
         """
         compact = cls.__new__(cls)
-        compact.graph = db.graph
-        compact.points = db.points
-        compact.tracker = CostTracker()
-        compact.store = CompactDiGraphStore.from_disk(db.disk)
-        compact.view = DirectedView(compact.store, db.points, compact.tracker)
-        compact.materialized = None
-        compact.generation = 0
-        return compact
-
-    @property
-    def disk(self):
-        """The compact store (planner access to the locality rank)."""
-        return self.store
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute each node's forward K-NN list (directed all-NN).
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` -- the largest ``k`` served by
-            ``eager-m``.
-        """
-        lists = directed_all_nn(self.view, capacity)
-        store = MemoryKnnStore(self.graph.num_nodes, capacity, lists)
-        self.materialized = MaterializedKNN(store)
-
-    # -- sessions -----------------------------------------------------------
-
-    def read_clone(self) -> "CompactDirectedDatabase":
-        """A read-only session sharing the CSR arrays (constant time).
-
-        Returns
-        -------
-        CompactDirectedDatabase
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.view = DirectedView(self.store, clone.points, clone.tracker)
-        return clone
-
-    # -- queries ------------------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Directed RkNN: points with ``d(p -> q) <= d(p -> p_k(p))``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`DIRECTED_METHODS`.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-        """
-        self._check(query, k, method)
-        points, diff = self._measure(
-            lambda: directed_rknn(
-                self.view, query, k, method, self.materialized, exclude
-            )
+        DirectedDatabase.__init__(
+            compact, db.graph, db.points,
+            CompactStore(CompactDiGraphStore.from_disk(db.disk)),
         )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- vectorized batch kernel --------------------------------------------
+        return compact
 
     #: Query kinds the vectorized batch kernel serves (engine dispatch).
     batch_kinds = ("rknn",)
 
-    def batch_rknn(self, specs) -> tuple[RnnResult, ...]:
-        """Answer a batch of directed RkNN specs in one vectorized pass.
-
-        Candidate points expand *forward* over the out-arc CSR views
-        (distances ``d(p -> .)``), and the membership test compares
-        ``d(p -> q)`` against the point's k-th nearest competitor --
-        the directed RkNN definition.  Answers are bitwise identical
-        to looping :meth:`rknn` over the specs.
-
-        Parameters
-        ----------
-        specs:
-            :class:`~repro.engine.spec.QuerySpec` values of kind
-            ``"rknn"`` (see :attr:`batch_kinds`).
-
-        Returns
-        -------
-        tuple[RnnResult, ...]
-            One result per spec, in order; without numpy the batch
-            falls back to the scalar per-spec loop.
-        """
-        specs = list(specs)
-        requests = []
-        for spec in specs:
-            if spec.kind != "rknn":
-                raise QueryError(
-                    f"batch_rknn serves kinds {self.batch_kinds}, "
-                    f"got {spec.kind!r}"
-                )
-            self._check(spec.query, spec.k, spec.method)
-            if spec.method == "eager-m" and spec.k > self.materialized.capacity:
-                raise QueryError(
-                    f"k={spec.k} exceeds the materialized capacity "
-                    f"K={self.materialized.capacity}"
-                )
-            requests.append(
-                BatchRequest((spec.query,), spec.k, frozenset(spec.exclude))
-            )
-        if not specs:
-            return ()
-        if not numpy_available():
-            return tuple(self._scalar_batch(specs))
-        return self._batch_measure(self.store.csr.out_flat(), requests, None)
-
-    def _scalar_batch(self, specs):
-        """Per-spec scalar loop: the numpy-free ``batch_rknn`` fallback."""
-        results = []
-        for spec in specs:
-            points, diff = self._measure(
-                lambda spec=spec: directed_rknn(
-                    self.view, spec.query, spec.k, spec.method,
-                    self.materialized, spec.exclude,
-                )
-            )
-            results.append(
-                RnnResult(tuple(points), diff.io_operations,
-                          diff.cpu_seconds, diff)
-            )
-        return results
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest points *from* ``query`` (forward distances).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_knn(self.view, query, k, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """Forward range-NN from ``query`` with a strict ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict bound on ``d(query -> x)``.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            self.points = self.points.with_point(pid, node)
-            self.view = DirectedView(self.store, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_insert(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self.view = DirectedView(self.store, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_delete(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _check(self, query: int, k: int, method: str) -> None:
-        if method not in DIRECTED_METHODS:
-            raise QueryError(
-                f"unknown method {method!r}; choose one of {DIRECTED_METHODS}"
-            )
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not isinstance(query, int):
-            raise QueryError("directed networks take node-id queries")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        if method == "eager-m" and self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
+    batch_rknn = CompactDatabase.batch_rknn
+    _scalar_batch = CompactDatabase._scalar_batch

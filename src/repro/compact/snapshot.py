@@ -185,9 +185,7 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
     """
     from repro.compact.db import CompactDatabase
     from repro.compact.store import CompactGraphStore
-    from repro.core.network import NetworkView
     from repro.points.points import NodePointSet
-    from repro.storage.stats import CostTracker
 
     root = Path(os.fspath(path))
     try:
@@ -208,16 +206,8 @@ def load_snapshot(path, *, mmap: bool = True, compact_threshold=None):
         {int(pid): int(node) for pid, node in meta["points"].items()}
     )
     db = CompactDatabase.__new__(CompactDatabase)
-    db.graph = CSRGraphAdapter(csr, coords=coords)
-    db.points = points
-    db.tracker = CostTracker()
-    db.store = CompactGraphStore(order=order, csr=csr)
-    db.view = NetworkView(db.store, points, db.tracker)
-    db.materialized = None
-    db.oracle = None
-    db._ref_points = None
-    db._ref_view = None
-    db._ref_materialized = None
-    db.generation = 0
-    db._init_overlay(compact_threshold)
+    db._setup(
+        CSRGraphAdapter(csr, coords=coords), points,
+        CompactGraphStore(order=order, csr=csr), compact_threshold,
+    )
     return db

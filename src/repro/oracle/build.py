@@ -4,19 +4,20 @@ Selection uses the farthest-point heuristic (each new landmark is the
 node farthest from the current set), which pushes landmarks to the
 periphery where triangle-inequality bounds are tight; ``"random"`` is
 the cheap baseline.  Labeling runs one single-source expansion per
-landmark, with a kernel per storage backend:
+landmark, with one of two kernels:
 
 * :func:`store_landmark_distances` -- Dijkstra over any object with
   the ``neighbors`` protocol.  Over a
   :class:`~repro.storage.disk.DiskGraph` every adjacency read is
   charged through the buffer; over a sharded store the same traversal
   decomposes into per-shard frontiers stitched at boundary vertices,
-  each read charged to the owning shard.
+  each read charged to the owning shard; over a compact store without
+  NumPy it reads the CSR arrays for free.
 * :func:`csr_landmark_distances` -- Dijkstra whose relaxation step is
-  vectorized over the CSR flat arrays (NumPy slice arithmetic when
-  available, plain slicing otherwise); no pages, no charging.
+  NumPy slice arithmetic over the CSR flat arrays; no pages, no
+  charging.
 
-All kernels return the same dense table shape, so the oracle built by
+Both kernels return the same dense table shape, so the oracle built by
 any backend is interchangeable with the others (each backend's tables
 are exact distances; bound soundness never depends on which kernel
 produced them).
@@ -33,7 +34,7 @@ from repro.errors import QueryError
 
 try:  # pragma: no cover - exercised through whichever path is available
     import numpy as _np
-except ImportError:  # pragma: no cover - the kernels degrade gracefully
+except ImportError:  # pragma: no cover - callers fall back to the store kernel
     _np = None
 
 #: Landmark-selection strategies accepted by :func:`select_landmarks`.
@@ -86,9 +87,10 @@ def csr_landmark_distances(csr, source: int) -> list[float]:
     """Single-source Dijkstra with CSR-sliced (vectorized) relaxation.
 
     Each settled node relaxes its whole adjacency range
-    ``offsets[v]:offsets[v+1]`` at once -- as NumPy array arithmetic
-    when NumPy is installed, as flat-array slices otherwise.  Free:
-    the compact backend has no pages to charge.
+    ``offsets[v]:offsets[v+1]`` at once as NumPy array arithmetic
+    (requires NumPy; without it, run :func:`store_landmark_distances`
+    over the compact store).  Free: the compact backend has no pages
+    to charge.
 
     Parameters
     ----------
@@ -103,46 +105,32 @@ def csr_landmark_distances(csr, source: int) -> list[float]:
     list of float
         ``table[v] = d(source, v)`` with ``inf`` for unreachable nodes.
     """
-    num_nodes = csr.num_nodes
-    offsets, targets, weights = csr.offsets, csr.targets, csr.weights
-    if _np is not None:
-        np_targets = _np.asarray(targets, dtype=_np.int64)
-        np_weights = _np.asarray(weights, dtype=_np.float64)
-        dist = _np.full(num_nodes, _np.inf, dtype=_np.float64)
-        dist[source] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            lo, hi = offsets[node], offsets[node + 1]
-            if lo == hi:
-                continue
-            span_targets = np_targets[lo:hi]
-            candidate = d + np_weights[lo:hi]
-            improved = candidate < dist[span_targets]
-            if not improved.any():
-                continue
-            hits = span_targets[improved]
-            values = candidate[improved]
-            dist[hits] = values
-            for nbr, nd in zip(hits.tolist(), values.tolist()):
-                heapq.heappush(heap, (nd, nbr))
-        return dist.tolist()
-    dist_list = [math.inf] * num_nodes
-    dist_list[source] = 0.0
-    heap = [(0.0, source)]
+    if _np is None:
+        raise QueryError("csr_landmark_distances needs NumPy")
+    offsets = csr.offsets
+    targets = _np.asarray(csr.targets, dtype=_np.int64)
+    weights = _np.asarray(csr.weights, dtype=_np.float64)
+    dist = _np.full(csr.num_nodes, _np.inf, dtype=_np.float64)
+    dist[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
         d, node = heapq.heappop(heap)
-        if d > dist_list[node]:
+        if d > dist[node]:
             continue
         lo, hi = offsets[node], offsets[node + 1]
-        for nbr, weight in zip(targets[lo:hi], weights[lo:hi]):
-            nd = d + weight
-            if nd < dist_list[nbr]:
-                dist_list[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    return dist_list
+        if lo == hi:
+            continue
+        span_targets = targets[lo:hi]
+        candidate = d + weights[lo:hi]
+        improved = candidate < dist[span_targets]
+        if not improved.any():
+            continue
+        hits = span_targets[improved]
+        values = candidate[improved]
+        dist[hits] = values
+        for nbr, nd in zip(hits.tolist(), values.tolist()):
+            heapq.heappush(heap, (nd, nbr))
+    return dist.tolist()
 
 
 def select_landmarks(

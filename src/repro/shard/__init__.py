@@ -5,12 +5,12 @@ network is cut into ``K`` edge-disjoint shards
 (:mod:`repro.shard.partition`), each shard pages its induced subgraph
 through a private disk store, LRU buffer and cost tracker
 (:mod:`repro.shard.store`), and the cut edges are served from an
-in-memory boundary-vertex table.  The facades
-(:mod:`repro.shard.db`) run the paper's algorithms unchanged over a
-stitched view (:mod:`repro.shard.view`), so answers are identical to
-the unsharded databases while I/O decomposes into per-shard counters --
-and the batch engine routes queries to their home shards and executes
-independent shards on its worker pool.
+in-memory boundary-vertex table.  The databases
+(:mod:`repro.shard.db`) run the paper's algorithms unchanged over the
+stitched store, so answers are identical to the unsharded databases
+while I/O decomposes into per-shard counters -- and the batch engine
+routes queries to their home shards and executes independent shards
+on its worker pool.
 """
 
 from repro.shard.db import ShardedDatabase, ShardedDirectedDatabase
@@ -21,7 +21,6 @@ from repro.shard.store import (
     ShardedDiGraphStore,
     ShardedGraphStore,
 )
-from repro.shard.view import ShardedDirectedView, ShardedNetworkView
 
 __all__ = [
     "DirectedGraphShard",
@@ -30,9 +29,7 @@ __all__ = [
     "ShardedDatabase",
     "ShardedDiGraphStore",
     "ShardedDirectedDatabase",
-    "ShardedDirectedView",
     "ShardedGraphStore",
-    "ShardedNetworkView",
     "cut_digraph",
     "cut_graph",
 ]

@@ -1,13 +1,15 @@
-"""Sharded database facades: the paper's queries over K storage shards.
+"""Sharded databases: the paper's queries over K storage shards.
 
-:class:`ShardedDatabase` mirrors the restricted-network surface of
-:class:`~repro.api.GraphDatabase` -- kNN, range-NN, monochromatic /
-continuous / bichromatic RkNN, materialization, point updates, batch
-serving -- over a :class:`~repro.shard.store.ShardedGraphStore`.
-Results are **identical** to the single-store database (the algorithms
-are reused verbatim over the stitched view); what changes is the
-storage topology: every adjacency read is served, buffered and charged
-by the shard owning the node.
+:class:`ShardedDatabase` and :class:`ShardedDirectedDatabase` answer
+the queries of :class:`~repro.database.Database` /
+:class:`~repro.database.DirectedDatabase` over a :class:`ShardedStore`
+wrapping a :class:`~repro.shard.store.ShardedGraphStore` (or
+:class:`~repro.shard.store.ShardedDiGraphStore`).  The core views read
+the stitched store directly, so results are **identical** to the
+single-store database; what changes is the storage topology: every
+adjacency read is served, buffered and charged by the shard owning
+the node.  Materialized K-NN lists and landmark labels live on a side
+file buffer charged to the global tracker.
 
 Cost accounting follows the database convention: every query returns
 the merged counter diff across the global tracker (CPU, heap traffic,
@@ -15,46 +17,16 @@ probes) and all per-shard trackers (page I/O), and the merged I/O is
 folded back into ``db.tracker`` so the existing aggregate accounting
 keeps working.  The per-shard decomposition stays available through
 :meth:`ShardedDatabase.shard_counters`.
-
-:class:`ShardedDirectedDatabase` is the directed counterpart
-(:class:`~repro.api_directed.DirectedGraphDatabase` surface).
 """
 
 from __future__ import annotations
 
-import copy
-from typing import AbstractSet, Iterable, Sequence
-
-from repro.core.bichromatic import (
-    bichromatic_eager,
-    bichromatic_eager_m,
-    bichromatic_lazy,
-)
-from repro.core.continuous import validate_route
-from repro.core.directed import (
-    directed_all_nn,
-    directed_delete,
-    directed_insert,
-    directed_knn,
-    directed_range_nn,
-    directed_rknn,
-)
-from repro.core.eager import eager_rknn, eager_rknn_route
-from repro.core.eager_m import eager_m_rknn, eager_m_rknn_route
-from repro.core.lazy import lazy_rknn, lazy_rknn_route
-from repro.core.lazy_ep import lazy_ep_rknn, lazy_ep_rknn_route
-from repro.core.materialize import MaterializedKNN
-from repro.core.nn import knn as restricted_knn
-from repro.core.nn import range_nn as restricted_range_nn
-from repro.core.result import KnnResult, OracleResult, RnnResult, UpdateResult
-from repro.errors import QueryError
-from repro.oracle import (
-    DEFAULT_LANDMARKS,
-    DistanceOracle,
-    LandmarkStore,
-    resolve_oracle_source,
-    select_landmarks,
-    store_landmark_distances,
+from repro.database import (
+    DIRECTED_METHODS,
+    METHODS,
+    Database,
+    DirectedDatabase,
+    Store,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.graph import Graph
@@ -64,67 +36,133 @@ from repro.shard.store import (
     ShardedDiGraphStore,
     ShardedGraphStore,
 )
-from repro.shard.view import ShardedDirectedView, ShardedNetworkView
 from repro.storage.buffer import BufferManager
-from repro.storage.disk import KnnListStore
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.stats import CostTracker
 
-_EMPTY: frozenset[int] = frozenset()
+__all__ = [
+    "DIRECTED_METHODS",
+    "METHODS",
+    "ShardedDatabase",
+    "ShardedDirectedDatabase",
+    "ShardedStore",
+]
 
-#: RkNN methods served by the sharded undirected facade.
-METHODS = ("eager", "lazy", "eager-m", "lazy-ep")
 
-#: RkNN methods served by the sharded directed facade.
-DIRECTED_METHODS = ("eager", "eager-m", "naive")
+class ShardedStore(Store):
+    """K shard stores plus a side-file buffer, measured shard by shard.
 
+    Parameters
+    ----------
+    adjacency:
+        A :class:`~repro.shard.store.ShardedGraphStore` or
+        :class:`~repro.shard.store.ShardedDiGraphStore`: each shard
+        pages its slice through a private buffer and tracker.
+    page_size / buffer_pages:
+        Side-file storage parameters (the shards carry their own).
+    """
 
-class _ShardedMeasureMixin:
-    """Counter plumbing shared by both sharded facades."""
-
-    #: Engine-visible backend tag (see :func:`repro.engine.planner.backend_of`).
     backend = "sharded"
 
-    def _all_trackers(self) -> list[CostTracker]:
-        return [self.tracker, *self.store.trackers()]
+    def __init__(self, adjacency, *, page_size: int, buffer_pages: int):
+        tracker = CostTracker()
+        super().__init__(
+            adjacency, tracker, BufferManager(buffer_pages, tracker),
+            page_size=page_size, order=adjacency.global_order(),
+        )
 
-    def _measure(self, func):
+    def measure(self, func):
         """Run ``func``, returning its outcome and the merged counter diff.
 
         Snapshots the global tracker and every shard tracker, times the
         call on the global tracker, then merges the per-tracker diffs
-        into one cost record.  The shard-side I/O diff is folded back
+        into one cost record.  The shard-side diffs are folded back
         into the global tracker so ``db.tracker`` stays the aggregate
         of all work, while the per-shard trackers keep the
         decomposition.
         """
-        trackers = self._all_trackers()
+        trackers = [self.tracker, *self.adjacency.trackers()]
         before = [tracker.snapshot() for tracker in trackers]
         with self.tracker.time_block():
             outcome = func()
         diffs = [
-            tracker.diff(snapshot)
-            for tracker, snapshot in zip(trackers, before)
+            tracker.diff(snapshot) for tracker, snapshot in zip(trackers, before)
         ]
-        merged = CostTracker.merged(diffs)
         for shard_diff in diffs[1:]:
             self.tracker.merge(shard_diff)
-        return outcome, merged
+        return outcome, CostTracker.merged(diffs)
 
-    def _folded(self, func):
-        """Run ``func`` folding shard counter diffs into the global tracker.
-
-        For work outside the query protocol (materialization, route
-        validation) that still reads shard pages: keeps ``db.tracker``
-        the aggregate of all shard work without producing a per-call
-        cost record.
-        """
-        trackers = self.store.trackers()
+    def folded(self, func):
+        """Run ``func`` folding shard counter diffs into the global tracker."""
+        trackers = self.adjacency.trackers()
         before = [tracker.snapshot() for tracker in trackers]
         outcome = func()
         for tracker, snapshot in zip(trackers, before):
             self.tracker.merge(tracker.diff(snapshot))
         return outcome
+
+    def read_clone(self) -> "ShardedStore":
+        """A session: every shard and the side file get cold private
+        buffers and zeroed trackers."""
+        clone = super().read_clone()
+        clone.adjacency = self.adjacency.read_clone()
+        return clone
+
+    def reset(self) -> None:
+        """Zero the global tracker and every per-shard tracker."""
+        self.tracker.reset()
+        self.adjacency.reset_trackers()
+
+    def clear(self) -> None:
+        """Drop every shard's buffered pages (cold-start the next query)."""
+        self.adjacency.clear_buffers()
+
+
+class ShardedDatabase(Database):
+    """Sharded disk-based graph database answering (reverse) NN queries.
+
+    Parameters
+    ----------
+    graph:
+        The network.  It is cut into ``num_shards`` edge-disjoint
+        partitions, each paged to its own simulated disk.
+    points:
+        The data set P as a :class:`~repro.points.points.NodePointSet`
+        (the sharded backend serves restricted networks).  ``None``
+        creates an empty set.
+    num_shards:
+        Shard count ``K``; ``K = 1`` degenerates to the single-store
+        layout.
+    page_size / buffer_pages:
+        Storage parameters.  ``buffer_pages`` is the per-shard LRU
+        budget (each shard models an independent storage host).
+    node_order:
+        Cut heuristic and per-shard packing order: ``"bfs"`` (default)
+        or ``"hilbert"`` (requires coordinates).
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        points: NodePointSet | None = None,
+        *,
+        num_shards: int = 4,
+        page_size: int = DEFAULT_PAGE_SIZE,
+        buffer_pages: int = DEFAULT_BUFFER_PAGES,
+        node_order: str = "bfs",
+    ):
+        points = self._checked_points(graph, points, "sharded")
+        adjacency = ShardedGraphStore(
+            graph,
+            num_shards=num_shards,
+            order=node_order,
+            page_size=page_size,
+            buffer_pages=buffer_pages,
+            point_nodes=frozenset(node for _, node in points.items()),
+        )
+        super().__init__(graph, points, ShardedStore(
+            adjacency, page_size=page_size, buffer_pages=buffer_pages
+        ))
 
     # -- shard introspection ------------------------------------------------
 
@@ -165,632 +203,24 @@ class _ShardedMeasureMixin:
         for mine, theirs in zip(self.store.trackers(), session.store.trackers()):
             mine.merge(theirs)
 
-    # -- cost measurement ---------------------------------------------------
 
-    def reset_stats(self) -> None:
-        """Zero the global tracker and every per-shard tracker."""
-        self.tracker.reset()
-        self.store.reset_trackers()
+class ShardedDirectedDatabase(DirectedDatabase):
+    """Sharded disk-based directed graph database answering RkNN queries.
 
-    def clear_buffer(self) -> None:
-        """Drop every shard's buffered pages (cold-start the next query)."""
-        self.store.clear_buffers()
-
-
-class ShardedDatabase(_ShardedMeasureMixin):
-    """Sharded disk-based graph database answering (reverse) NN queries.
+    The directed queries over a
+    :class:`~repro.shard.store.ShardedDiGraphStore`: backward
+    expansions and forward probes both stitch across shard boundaries
+    through the per-direction boundary tables.
 
     Parameters
     ----------
     graph:
-        The network.  It is cut into ``num_shards`` edge-disjoint
-        partitions, each paged to its own simulated disk.
+        The directed network, cut on its weak (direction-blind) BFS
+        order.
     points:
-        The data set P as a :class:`~repro.points.points.NodePointSet`
-        (the sharded backend serves restricted networks).  ``None``
-        creates an empty set.
-    num_shards:
-        Shard count ``K``; ``K = 1`` degenerates to the single-store
-        layout.
-    page_size / buffer_pages:
-        Storage parameters.  ``buffer_pages`` is the per-shard LRU
-        budget (each shard models an independent storage host).
-    node_order:
-        Cut heuristic and per-shard packing order: ``"bfs"`` (default)
-        or ``"hilbert"`` (requires coordinates).
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        points: NodePointSet | None = None,
-        *,
-        num_shards: int = 4,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        buffer_pages: int = DEFAULT_BUFFER_PAGES,
-        node_order: str = "bfs",
-    ):
-        if points is None:
-            points = NodePointSet({})
-        if not isinstance(points, NodePointSet):
-            raise QueryError(
-                "the sharded backend serves restricted networks "
-                "(NodePointSet); edge-resident points are unsupported"
-            )
-        points.validate(graph)
-        self.graph = graph
-        self.points = points
-        self.page_size = page_size
-        self.buffer_pages = buffer_pages
-        self.tracker = CostTracker()
-        self.store = ShardedGraphStore(
-            graph,
-            num_shards=num_shards,
-            order=node_order,
-            page_size=page_size,
-            buffer_pages=buffer_pages,
-            point_nodes=frozenset(node for _, node in points.items()),
-        )
-        self.view = ShardedNetworkView(self.store, points, self.tracker)
-        #: Side file buffer for materialized K-NN lists (charged to the
-        #: global tracker; adjacency I/O is what decomposes by shard).
-        self._side_buffer = BufferManager(buffer_pages, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Landmark distance oracle (see :meth:`build_oracle`); ``None``
-        #: until built or opened.
-        self.oracle: DistanceOracle | None = None
-        #: Persisted label file backing :attr:`oracle` (side-buffer pages).
-        self.oracle_store: LandmarkStore | None = None
-        self._ref_points: NodePointSet | None = None
-        self._ref_view: ShardedNetworkView | None = None
-        self._ref_materialized: MaterializedKNN | None = None
-        #: Update generation: bumped by every point insertion/deletion
-        #: (the query engine keys its result cache on this counter).
-        self.generation = 0
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "ShardedDatabase":
-        """Build a sharded database straight from an edge list.
-
-        Parameters
-        ----------
-        edges:
-            ``(u, v, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor (``num_shards``, ...).
-
-        Returns
-        -------
-        ShardedDatabase
-        """
-        return cls(Graph.from_edges(edges), points, **kwargs)
-
-    # -- properties ---------------------------------------------------------
-
-    @property
-    def restricted(self) -> bool:
-        """Always true: the sharded backend stores points on nodes."""
-        return True
-
-    @property
-    def reference_points(self) -> NodePointSet | None:
-        """The attached bichromatic reference set Q (``None`` before
-        :meth:`attach_reference`)."""
-        return self._ref_points
-
-    @property
-    def disk(self):
-        """The sharded store, exposed under the facade's disk slot.
-
-        The engine's admission planner only needs ``disk.page_of``;
-        the store's shard-major page ranks make the planner group
-        queries by shard first, page second.
-        """
-        return self.store
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute the K-NN lists of every node (paper Section 4.1).
-
-        Parameters
-        ----------
-        capacity:
-            The paper's ``K``: the largest ``k`` any future ``eager-m``
-            query may use (data-distributed queries that exclude their
-            own point effectively need ``K >= k + 1``).
-        """
-        self.materialized = self._folded(lambda: MaterializedKNN.build(
-            self.view,
-            capacity,
-            [(node, pid, 0.0) for pid, node in self.points.items()],
-            self._side_buffer,
-            page_size=self.page_size,
-            order=self.store.global_order(),
-        ))
-
-    def materialize_reference(self, capacity: int) -> None:
-        """Materialize K-NN lists over the attached reference set Q.
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` for the reference materialization
-            (required by bichromatic ``eager-m``).
-        """
-        if self._ref_view is None or self._ref_points is None:
-            raise QueryError("attach_reference() before materialize_reference()")
-        self._ref_materialized = self._folded(lambda: MaterializedKNN.build(
-            self._ref_view,
-            capacity,
-            [(node, pid, 0.0) for pid, node in self._ref_points.items()],
-            self._side_buffer,
-            page_size=self.page_size,
-            order=self.store.global_order(),
-        ))
-
-    # -- bichromatic reference set ------------------------------------------
-
-    def attach_reference(self, reference: NodePointSet) -> None:
-        """Attach the reference set Q for bichromatic queries.
-
-        Parameters
-        ----------
-        reference:
-            A :class:`~repro.points.points.NodePointSet`; the facade's
-            own points act as P.  Swapping Q bumps the generation so
-            cached bichromatic answers invalidate.
-        """
-        if not isinstance(reference, NodePointSet):
-            raise QueryError("the sharded backend takes node-resident references")
-        reference.validate(self.graph)
-        self._ref_points = reference
-        self._ref_view = ShardedNetworkView(
-            self.store, reference, self.tracker, bounds=self.oracle
-        )
-        self._ref_materialized = None
-        self.generation += 1
-
-    # -- landmark distance oracle -------------------------------------------
-
-    def build_oracle(
-        self,
-        count: int = DEFAULT_LANDMARKS,
-        *,
-        seed: int = 0,
-        strategy: str = "farthest",
-    ) -> OracleResult:
-        """Build and attach an ALT landmark distance oracle (charged).
-
-        One single-source Dijkstra per landmark runs over the stitched
-        store: while the frontier stays inside a shard the reads are
-        charged to that shard's buffer, and it leaves through the
-        boundary-vertex tables -- the same per-shard decomposition as
-        query expansions.  The label table persists as a paged
-        :class:`~repro.oracle.store.LandmarkStore` on the side-file
-        buffer (like the materialized K-NN lists), and the oracle
-        attaches to every view for answer-preserving pruning.
-
-        Parameters
-        ----------
-        count:
-            Number of landmarks ``L``.
-        seed:
-            Seeds the first landmark pick.
-        strategy:
-            ``"farthest"`` (default) or ``"random"``.
-
-        Returns
-        -------
-        OracleResult
-            The selected landmarks plus the merged per-shard cost diff.
-        """
-
-        def run():
-            landmarks, tables = select_landmarks(
-                lambda source: store_landmark_distances(
-                    self.store, self.graph.num_nodes, source
-                ),
-                self.graph.num_nodes,
-                count,
-                seed=seed,
-                strategy=strategy,
-            )
-            store = LandmarkStore(
-                self.graph.num_nodes, landmarks, tables, self._side_buffer,
-                page_size=self.page_size, order=self.store.global_order(),
-            )
-            return store, DistanceOracle(landmarks, tables)
-
-        (store, oracle), diff = self._measure(run)
-        self.oracle_store = store
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(
-            oracle.landmarks, oracle.storage_entries, store.num_pages,
-            diff.io_operations, diff.cpu_seconds, diff,
-        )
-
-    def open_oracle(self, source) -> OracleResult:
-        """Attach an oracle built elsewhere (store or oracle object).
-
-        Parameters
-        ----------
-        source:
-            A persisted :class:`~repro.oracle.store.LandmarkStore`
-            (decoded uncharged) or a ready
-            :class:`~repro.oracle.oracle.DistanceOracle` -- e.g. one
-            built by the single disk store over the same graph.
-
-        Returns
-        -------
-        OracleResult
-            The attached landmarks (opening charges no I/O).
-        """
-        oracle, store, pages = resolve_oracle_source(
-            source, self.graph.num_nodes
-        )
-        self.oracle_store = store
-        self.oracle = oracle
-        self._attach_bounds(oracle)
-        return OracleResult(oracle.landmarks, oracle.storage_entries, pages, 0, 0.0)
-
-    def _attach_bounds(self, bounds) -> None:
-        self.view.bounds = bounds
-        if self._ref_view is not None:
-            self._ref_view.bounds = bounds
-
-    # -- serving ------------------------------------------------------------
-
-    def engine(self, **kwargs) -> "QueryEngine":
-        """A batch :class:`~repro.engine.engine.QueryEngine` over this
-        database.
-
-        Parameters
-        ----------
-        **kwargs:
-            Forwarded to the engine constructor (``cache_entries``,
-            ``calibrator``, ``plan``, ``shard_parallel``).  The engine
-            detects the sharded backend and routes each query to its
-            home shard: the planner orders batches shard-major and the
-            worker pool executes distinct shards concurrently.
-
-        Returns
-        -------
-        QueryEngine
-        """
-        from repro.engine.engine import QueryEngine
-
-        return QueryEngine(self, **kwargs)
-
-    def query(self, statement):
-        """Answer a qlang statement (or spec) on this database.
-
-        See :meth:`repro.api.GraphDatabase.query`; batches compiled
-        from scripts are routed shard-major by the engine's planner.
-        """
-        from repro.qlang import execute
-
-        return execute(self, statement)
-
-    def read_clone(self) -> "ShardedDatabase":
-        """A read-only session over the same serialized shard pages.
-
-        Returns
-        -------
-        ShardedDatabase
-            A clone sharing every shard's page images but owning
-            private cold buffers and zeroed trackers (per shard and
-            global), so concurrent read-only sessions never race on
-            LRU state or counters.  Running updates through a clone is
-            unsupported.
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.store = self.store.read_clone()
-        clone._side_buffer = BufferManager(
-            self._side_buffer.capacity_pages, clone.tracker
-        )
-        if self.materialized is not None:
-            store = copy.copy(self.materialized.store)
-            store.buffer = clone._side_buffer
-            clone.materialized = MaterializedKNN(store)
-        clone.view = ShardedNetworkView(
-            clone.store, clone.points, clone.tracker, bounds=self.oracle
-        )
-        if self._ref_points is not None:
-            clone._ref_view = ShardedNetworkView(
-                clone.store, self._ref_points, clone.tracker, bounds=self.oracle
-            )
-            if self._ref_materialized is not None:
-                ref_store = copy.copy(self._ref_materialized.store)
-                ref_store.buffer = clone._side_buffer
-                clone._ref_materialized = MaterializedKNN(ref_store)
-        return clone
-
-    # -- monochromatic RkNN -------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Reverse k-nearest-neighbor query (paper Sections 3-5).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`METHODS`; ``eager-m`` needs
-            :meth:`materialize` first.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            The reverse neighbors plus the merged per-shard cost diff.
-        """
-        self._check_query(query, k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn([query], k, method, exclude, route=False)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def continuous_rknn(
-        self,
-        route: Sequence[int],
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Continuous RkNN along a route of nodes (Section 5.1).
-
-        Parameters
-        ----------
-        route:
-            A walk: consecutive nodes must share an edge.
-        k / method / exclude:
-            As in :meth:`rknn`.
-
-        Returns
-        -------
-        RnnResult
-        """
-        self._folded(lambda: validate_route(self.view, route))
-        self._check_query(route[0], k, method)
-        points, diff = self._measure(
-            lambda: self._run_rknn(list(route), k, method, exclude, route=True)
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def _run_rknn(self, sources, k, method, exclude, *, route):
-        if method == "eager":
-            runner = eager_rknn_route if route else eager_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        if method == "lazy":
-            runner = lazy_rknn_route if route else lazy_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        if method == "lazy-ep":
-            runner = lazy_ep_rknn_route if route else lazy_ep_rknn
-            return runner(self.view, sources if route else sources[0], k, exclude)
-        mat = self._require_mat()
-        runner = eager_m_rknn_route if route else eager_m_rknn
-        return runner(self.view, mat, sources if route else sources[0], k, exclude)
-
-    # -- bichromatic RkNN ---------------------------------------------------
-
-    def bichromatic_rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Bichromatic RkNN against the attached reference set.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size among *reference* points.
-        method:
-            ``"eager"``, ``"lazy"`` or ``"eager-m"`` (the latter needs
-            :meth:`materialize_reference`).
-        exclude:
-            Reference point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-            Database points that keep the query among their k nearest
-            reference points.
-        """
-        if self._ref_view is None:
-            raise QueryError("attach_reference() before bichromatic queries")
-        self._check_query(query, k, method)
-
-        def run() -> list[int]:
-            if method == "eager":
-                return bichromatic_eager(self.view, self._ref_view, query, k, exclude)
-            if method == "lazy":
-                return bichromatic_lazy(self.view, self._ref_view, query, k, exclude)
-            if method == "eager-m":
-                if self._ref_materialized is None:
-                    raise QueryError(
-                        "materialize_reference() before bichromatic eager-m"
-                    )
-                return bichromatic_eager_m(
-                    self.view, self._ref_view, self._ref_materialized,
-                    query, k, exclude,
-                )
-            raise QueryError(
-                "bichromatic queries support methods 'eager', 'lazy', 'eager-m'"
-            )
-
-        points, diff = self._measure(run)
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- plain NN queries ---------------------------------------------------
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest data points of a node.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-            ``(point id, network distance)`` pairs in ascending order.
-        """
-        def run() -> list[tuple[int, float]]:
-            if not isinstance(query, int):
-                raise QueryError("the sharded backend takes node-id queries")
-            return restricted_knn(self.view, query, k, exclude)
-
-        neighbors, diff = self._measure(run)
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """``range-NN(n, k, e)``: k nearest points strictly within ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict distance bound ``e``.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: restricted_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            Number of updated K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            if not isinstance(node, int):
-                raise QueryError("the sharded backend takes node-id locations")
-            self.points = self.points.with_point(pid, node)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.insert(self.view, pid, [(node, 0.0)])
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-        """
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self._rebuild_view()
-            if self.materialized is not None:
-                return self.materialized.delete(self.view, pid, [(node, 0.0)])
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _rebuild_view(self) -> None:
-        self.view = ShardedNetworkView(
-            self.store, self.points, self.tracker, bounds=self.oracle
-        )
-
-    # -- validation helpers -------------------------------------------------
-
-    def _require_mat(self) -> MaterializedKNN:
-        if self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
-        return self.materialized
-
-    def _check_query(self, query: int, k: int, method: str) -> None:
-        if method not in METHODS:
-            raise QueryError(f"unknown method {method!r}; choose one of {METHODS}")
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not isinstance(query, int):
-            raise QueryError("the sharded backend takes node-id queries")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-
-
-class ShardedDirectedDatabase(_ShardedMeasureMixin):
-    """Sharded disk-based directed graph database answering RkNN queries.
-
-    Mirrors :class:`~repro.api_directed.DirectedGraphDatabase` over a
-    :class:`~repro.shard.store.ShardedDiGraphStore`: backward
-    expansions and forward probes both stitch across shard boundaries
-    through the per-direction boundary tables.
+        The data set P (``None`` creates an empty set).
+    num_shards / page_size / buffer_pages:
+        As in :class:`ShardedDatabase`.
     """
 
     def __init__(
@@ -802,276 +232,19 @@ class ShardedDirectedDatabase(_ShardedMeasureMixin):
         page_size: int = DEFAULT_PAGE_SIZE,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
     ):
-        if points is None:
-            points = NodePointSet({})
-        for pid, node in points.items():
-            if not 0 <= node < graph.num_nodes:
-                raise QueryError(f"point {pid} lies on unknown node {node}")
-        self.graph = graph
-        self.points = points
-        self.page_size = page_size
-        self.buffer_pages = buffer_pages
-        self.tracker = CostTracker()
-        self.store = ShardedDiGraphStore(
+        points = self._checked_points(graph, points, "sharded")
+        adjacency = ShardedDiGraphStore(
             graph,
             num_shards=num_shards,
             page_size=page_size,
             buffer_pages=buffer_pages,
             point_nodes=frozenset(node for _, node in points.items()),
         )
-        self.view = ShardedDirectedView(self.store, points, self.tracker)
-        self._side_buffer = BufferManager(buffer_pages, self.tracker)
-        self.materialized: MaterializedKNN | None = None
-        #: Update generation (see :class:`ShardedDatabase`).
-        self.generation = 0
+        super().__init__(graph, points, ShardedStore(
+            adjacency, page_size=page_size, buffer_pages=buffer_pages
+        ))
 
-    @classmethod
-    def from_arcs(
-        cls,
-        arcs: Iterable[tuple[int, int, float]],
-        points: NodePointSet | None = None,
-        **kwargs,
-    ) -> "ShardedDirectedDatabase":
-        """Build a sharded directed database straight from an arc list.
-
-        Parameters
-        ----------
-        arcs:
-            ``(tail, head, weight)`` triples.
-        points:
-            Optional :class:`~repro.points.points.NodePointSet`.
-        **kwargs:
-            Forwarded to the constructor (``num_shards``, ...).
-
-        Returns
-        -------
-        ShardedDirectedDatabase
-        """
-        return cls(DiGraph.from_arcs(arcs), points, **kwargs)
-
-    @property
-    def disk(self):
-        """The sharded store (planner access to shard-major page ranks)."""
-        return self.store
-
-    # -- materialization ----------------------------------------------------
-
-    def materialize(self, capacity: int) -> None:
-        """Precompute each node's forward K-NN list (directed all-NN).
-
-        Parameters
-        ----------
-        capacity:
-            List capacity ``K`` -- the largest ``k`` served by
-            ``eager-m``.
-        """
-        lists = self._folded(lambda: directed_all_nn(self.view, capacity))
-        store = KnnListStore(
-            self.graph.num_nodes,
-            capacity,
-            lists,
-            self._side_buffer,
-            page_size=self.page_size,
-            order=self.store.global_order(),
-        )
-        self.materialized = MaterializedKNN(store)
-
-    # -- serving ------------------------------------------------------------
-
-    def engine(self, **kwargs) -> "QueryEngine":
-        """A batch :class:`~repro.engine.engine.QueryEngine` over this
-        database (``knn`` / ``rknn`` / ``range`` specs).
-
-        Returns
-        -------
-        QueryEngine
-        """
-        from repro.engine.engine import QueryEngine
-
-        return QueryEngine(self, **kwargs)
-
-    def query(self, statement):
-        """Answer a qlang statement (or spec) on this database.
-
-        See :meth:`repro.api.GraphDatabase.query`; the directed facade
-        answers every kind except the bichromatic ones.
-        """
-        from repro.qlang import execute
-
-        return execute(self, statement)
-
-    def read_clone(self) -> "ShardedDirectedDatabase":
-        """A read-only session with private per-shard buffers and trackers.
-
-        Returns
-        -------
-        ShardedDirectedDatabase
-        """
-        clone = copy.copy(self)
-        clone.tracker = CostTracker()
-        clone.store = self.store.read_clone()
-        clone._side_buffer = BufferManager(
-            self._side_buffer.capacity_pages, clone.tracker
-        )
-        if self.materialized is not None:
-            store = copy.copy(self.materialized.store)
-            store.buffer = clone._side_buffer
-            clone.materialized = MaterializedKNN(store)
-        clone.view = ShardedDirectedView(clone.store, clone.points, clone.tracker)
-        return clone
-
-    # -- queries ------------------------------------------------------------
-
-    def rknn(
-        self,
-        query: int,
-        k: int = 1,
-        method: str = "eager",
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> RnnResult:
-        """Directed RkNN: points with ``d(p -> q) <= d(p -> p_k(p))``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Neighborhood size (>= 1).
-        method:
-            One of :data:`DIRECTED_METHODS`.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        RnnResult
-        """
-        self._check(query, k, method)
-        points, diff = self._measure(
-            lambda: directed_rknn(
-                self.view, query, k, method, self.materialized, exclude
-            )
-        )
-        return RnnResult(tuple(points), diff.io_operations, diff.cpu_seconds, diff)
-
-    def knn(
-        self,
-        query: int,
-        k: int = 1,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """The k nearest points *from* ``query`` (forward distances).
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Number of neighbors requested.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_knn(self.view, query, k, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    def range_nn(
-        self,
-        query: int,
-        k: int,
-        radius: float,
-        exclude: AbstractSet[int] = _EMPTY,
-    ) -> KnnResult:
-        """Forward range-NN from ``query`` with a strict ``radius``.
-
-        Parameters
-        ----------
-        query:
-            Query node id.
-        k:
-            Maximum number of points returned.
-        radius:
-            Strict bound on ``d(query -> x)``.
-        exclude:
-            Point ids hidden for the query's duration.
-
-        Returns
-        -------
-        KnnResult
-        """
-        neighbors, diff = self._measure(
-            lambda: directed_range_nn(self.view, query, k, radius, exclude)
-        )
-        return KnnResult(tuple(neighbors), diff.io_operations, diff.cpu_seconds, diff)
-
-    # -- updates ------------------------------------------------------------
-
-    def insert_point(self, pid: int, node: int) -> UpdateResult:
-        """Add a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            New point id (must be unused).
-        node:
-            Node the point resides on.
-
-        Returns
-        -------
-        UpdateResult
-            The number of updated K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            self.points = self.points.with_point(pid, node)
-            self.view = ShardedDirectedView(self.store, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_insert(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def delete_point(self, pid: int) -> UpdateResult:
-        """Remove a data point, maintaining the materialized lists if any.
-
-        Parameters
-        ----------
-        pid:
-            Id of the point to remove.
-
-        Returns
-        -------
-        UpdateResult
-            The number of repaired K-NN lists plus the cost record.
-        """
-        def run() -> int:
-            node = self.points.node_of(pid)
-            self.points = self.points.without_point(pid)
-            self.view = ShardedDirectedView(self.store, self.points, self.tracker)
-            if self.materialized is not None:
-                return directed_delete(self.view, self.materialized, pid, node)
-            return 0
-
-        affected, diff = self._measure(run)
-        self.generation += 1
-        return UpdateResult(affected, diff.io_operations, diff.cpu_seconds, diff)
-
-    def _check(self, query: int, k: int, method: str) -> None:
-        if method not in DIRECTED_METHODS:
-            raise QueryError(
-                f"unknown method {method!r}; choose one of {DIRECTED_METHODS}"
-            )
-        if k < 1:
-            raise QueryError(f"k must be >= 1, got {k}")
-        if not isinstance(query, int):
-            raise QueryError("directed networks take node-id queries")
-        if not 0 <= query < self.graph.num_nodes:
-            raise QueryError(f"query node {query} out of range")
-        if method == "eager-m" and self.materialized is None:
-            raise QueryError("method 'eager-m' needs materialize() first")
+    num_shards = ShardedDatabase.num_shards
+    shard_of = ShardedDatabase.shard_of
+    shard_counters = ShardedDatabase.shard_counters
+    merge_session_shards = ShardedDatabase.merge_session_shards

@@ -11,7 +11,7 @@ from repro import (
     GraphDatabase,
     NodePointSet,
 )
-from repro.errors import QueryError, StorageError
+from repro.errors import QueryError
 from repro.graph.digraph import DiGraph
 from repro.points.points import EdgePointSet
 from tests.conftest import build_random_graph
@@ -253,6 +253,6 @@ class TestCompactDirected:
             db.rknn(0, 1, method="eager-m")
         with pytest.raises(QueryError, match="out of range"):
             db.rknn(graph.num_nodes, 1)
-        # knn is unvalidated on every backend: the store rejects the node
-        with pytest.raises(StorageError, match="out of range"):
+        # knn is validated like every other query method
+        with pytest.raises(QueryError, match="out of range"):
             db.knn(graph.num_nodes, 1)

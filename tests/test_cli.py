@@ -102,15 +102,21 @@ class TestQueryBackends:
 
     def test_compact_backend(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
-                     "--k", "2", "--compact"]) == 0
+                     "--k", "2", "--backend", "compact"]) == 0
         out = capsys.readouterr().out
         assert "R2NN(5)" in out and "compact" in out
         assert "0 page I/Os" in out  # compact adjacency reads are free
 
     def test_sharded_backend(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
-                     "--k", "2", "--shards", "4"]) == 0
+                     "--k", "2", "--backend", "sharded",
+                     "--shard-count", "4"]) == 0
         assert "4 shard(s)" in capsys.readouterr().out
+
+    def test_negative_shards_rejected(self, saved_graph, capsys):
+        assert main(["query", str(saved_graph), "--query", "5",
+                     "--backend", "sharded", "--shard-count", "-1"]) == 1
+        assert "--shard-count" in capsys.readouterr().err
 
     def test_oracle_flag(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
@@ -120,26 +126,18 @@ class TestQueryBackends:
 
     def test_backends_agree_on_answers(self, saved_graph, capsys):
         answers = set()
-        for flags in ([], ["--compact"], ["--shards", "3"], ["--oracle"]):
+        for flags in ([], ["--backend", "compact"],
+                      ["--backend", "sharded", "--shard-count", "3"],
+                      ["--oracle"]):
             assert main(["query", str(saved_graph), "--query", "7",
                          "--k", "2", *flags]) == 0
             answers.add(capsys.readouterr().out.splitlines()[-2])
         assert len(answers) == 1
 
-    def test_compact_and_shards_conflict(self, saved_graph, capsys):
-        assert main(["query", str(saved_graph), "--query", "5",
-                     "--compact", "--shards", "2"]) == 1
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_negative_shards_rejected(self, saved_graph, capsys):
-        assert main(["query", str(saved_graph), "--query", "5",
-                     "--shards", "-1"]) == 1
-        assert "--shards" in capsys.readouterr().err
-
 
 class TestBackendGroup:
-    """The redesigned ``--backend`` option group and its deprecated
-    ``--shards`` / ``--compact`` aliases."""
+    """The ``--backend`` option group (the old ``--shards`` /
+    ``--compact`` aliases are gone)."""
 
     def test_backend_compact(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
@@ -155,35 +153,16 @@ class TestBackendGroup:
         assert "3 shard(s)" in captured.out
         assert "deprecated" not in captured.err
 
-    def test_compact_alias_warns_once(self, saved_graph, capsys):
-        assert main(["query", str(saved_graph), "--query", "5",
-                     "--compact"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 1
-        assert "--backend compact" in err
-
-    def test_shards_alias_warns_once(self, saved_graph, capsys):
-        assert main(["query", str(saved_graph), "--query", "5",
-                     "--shards", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "2 shard(s)" in captured.out
-        assert captured.err.count("deprecated") == 1
-        assert "--backend sharded --shard-count" in captured.err
-
     def test_shards_zero_means_unsharded(self, saved_graph, capsys):
+        # without --backend sharded the shard count is ignored
         assert main(["query", str(saved_graph), "--query", "5",
-                     "--shards", "0"]) == 0
+                     "--shard-count", "0"]) == 0
         assert "unsharded" in capsys.readouterr().out
 
-    def test_alias_conflicts_with_backend(self, saved_graph, capsys):
-        assert main(["query", str(saved_graph), "--query", "5",
-                     "--compact", "--backend", "disk"]) == 1
-        assert "--compact conflicts with --backend disk" in \
-            capsys.readouterr().err
-        assert main(["query", str(saved_graph), "--query", "5",
-                     "--shards", "2", "--backend", "compact"]) == 1
-        assert "--shards conflicts with --backend compact" in \
-            capsys.readouterr().err
+    def test_removed_aliases_rejected(self, saved_graph):
+        for flags in (["--compact"], ["--shards", "2"]):
+            with pytest.raises(SystemExit):
+                main(["query", str(saved_graph), "--query", "5", *flags])
 
     def test_bad_shard_count_rejected(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5",
@@ -393,7 +372,8 @@ class TestBatch:
         unsharded = [line for line in capsys.readouterr().out.splitlines()
                      if "->" in line]
         assert main(["batch", str(saved_graph), "--specs", str(specs_file),
-                     "--shards", "4", "--workers", "2"]) == 0
+                     "--backend", "sharded", "--shard-count", "4",
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         sharded = [line for line in out.splitlines() if "->" in line]
         # identical answers (the per-line I/O counts may differ)
@@ -405,7 +385,7 @@ class TestBatch:
 
     def test_negative_shards_is_an_error(self, saved_graph, specs_file, capsys):
         assert main(["batch", str(saved_graph), "--specs", str(specs_file),
-                     "--shards", "-1"]) == 1
+                     "--backend", "sharded", "--shard-count", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_sharded_rejects_edge_points(self, tmp_path, specs_file, capsys):
@@ -415,7 +395,7 @@ class TestBatch:
                      "-o", str(path)]) == 0
         capsys.readouterr()
         assert main(["batch", str(path), "--specs", str(specs_file),
-                     "--shards", "2"]) == 1
+                     "--backend", "sharded", "--shard-count", "2"]) == 1
         assert "restricted" in capsys.readouterr().err
 
 
@@ -504,7 +484,7 @@ class TestOracleBuild:
         specs = tmp_path / "queries.jsonl"
         specs.write_text('{"kind": "rknn", "query": 7, "k": 1}\n')
         assert main(["batch", str(saved_graph), "--specs", str(specs),
-                     "--compact", "--oracle", "--quiet"]) == 0
+                     "--backend", "compact", "--oracle", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "oracle: 8 landmarks" in out and "compact" in out
 
@@ -665,5 +645,5 @@ class TestCompactCompact:
 
     def test_query_accepts_threshold_with_compact(self, saved_graph, capsys):
         assert main(["query", str(saved_graph), "--query", "5", "--k", "2",
-                     "--compact", "--compact-threshold", "4"]) == 0
+                     "--backend", "compact", "--compact-threshold", "4"]) == 0
         assert "R2NN(5)" in capsys.readouterr().out

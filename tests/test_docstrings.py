@@ -1,8 +1,9 @@
-"""Docstring-coverage gate: the public facade surfaces stay documented.
+"""Docstring-coverage gate: the public database surfaces stay documented.
 
 Runs the same checker CI uses (``tools/check_docstrings.py``) over the
-database facades and the shard subsystem, so a missing public
-docstring fails locally before it fails the CI gate.
+shared database layer, its backend constructors and the shard /
+compact / oracle subsystems, so a missing public docstring fails
+locally before it fails the CI gate.
 """
 
 import sys
@@ -14,6 +15,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 import check_docstrings  # noqa: E402
 
 TARGETS = [
+    str(ROOT / "src" / "repro" / "database.py"),
     str(ROOT / "src" / "repro" / "api.py"),
     str(ROOT / "src" / "repro" / "api_directed.py"),
     str(ROOT / "src" / "repro" / "shard"),
