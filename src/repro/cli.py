@@ -259,8 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8750,
                        help="listening port (0 picks an ephemeral port)")
-    serve.add_argument("--window-ms", type=float, default=2.0,
-                       help="micro-batch coalescing window in milliseconds")
+    serve.add_argument("--window-ms", type=float, default=0.0,
+                       help="micro-batch coalescing window in milliseconds "
+                       "(default 0: batch by arrival -- requests that "
+                       "arrive while a batch runs share the next one)")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="flush a batch once this many requests wait")
     serve.add_argument("--max-queue", type=int, default=1024,

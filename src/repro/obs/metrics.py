@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 #: Default histogram bucket upper bounds, in seconds: log-spaced from
@@ -137,11 +138,7 @@ class Histogram(Metric):
 
     def observe(self, value: float, count: int = 1) -> None:
         """Record ``count`` observations of ``value`` seconds."""
-        index = len(self.bounds)
-        for position, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = position
-                break
+        index = bisect_left(self.bounds, value)  # first bound >= value
         with self._lock:
             self._counts[index] += count
             self._sum += value * count

@@ -7,8 +7,8 @@ The serving tier turns any facade database into a network service:
   :class:`~repro.engine.engine.QueryEngine`, bounded admission with
   explicit ``overloaded`` shedding, generation-swap safe mutations,
   standing-query event push, ``/metrics`` and ``/healthz``;
-* :class:`~repro.serve.batcher.MicroBatcher` -- the coalescing
-  admission queue;
+* :class:`~repro.serve.batcher.MicroBatcher` -- the arrival-driven
+  (optionally timed) batching admission queue;
 * :class:`~repro.serve.client.ServeClient` -- the blocking client used
   by tests, benchmarks and the CI replay job;
 * :func:`~repro.serve.server.serve_in_thread` -- run a server on a

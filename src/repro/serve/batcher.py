@@ -1,13 +1,20 @@
-"""Micro-batching admission queue with bounded backpressure.
+"""Arrival-driven micro-batching admission queue with bounded backpressure.
 
-The server does not execute queries one request at a time: requests
-admitted within a short *coalescing window* are collected into one
-batch and executed together through the
+The server does not execute queries one request at a time: admitted
+requests are collected into batches and executed together through the
 :class:`~repro.engine.engine.QueryEngine`, which dedupes repeats,
-serves cache hits and orders the misses for page locality.  The window
-closes early when ``max_batch`` requests are waiting, so a saturated
-server runs full batches back to back and an idle one adds at most
-``window`` seconds of latency to a lone request.
+serves cache hits and orders the misses for page locality.
+
+By default batching is *arrival-driven* ("group commit"): a batch is
+every request admitted while the previous batch ran, plus every
+request admitted before the batcher task next got the event loop (the
+server's reader admits all lines already buffered on a connection
+before it yields).  No timer runs, so a lone request on an idle server
+starts executing at the next loop turn, while pipelined and concurrent
+load still coalesce -- requests arriving during a running batch queue
+up for the next one.  An explicit ``window > 0`` opts into a timed
+coalescing window instead: the first waiter starts a timer and the
+batch runs when it expires or ``max_batch`` requests wait.
 
 Admission is *bounded*: at most ``max_queue`` requests may be waiting
 (coalescing plus queued behind an in-flight batch).  Beyond that the
@@ -24,6 +31,7 @@ another and the server's generation gate only ever arbitrates between
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, field
 
 from repro.engine.spec import QuerySpec
@@ -62,6 +70,7 @@ class _Pending:
 
     spec: QuerySpec
     future: asyncio.Future = field(repr=False)
+    admitted: float  # time.perf_counter() at admission
 
 
 class MicroBatcher:
@@ -74,17 +83,25 @@ class MicroBatcher:
         returns an index-aligned list of outcomes (the server supplies
         the generation-pinned engine call).
     window:
-        Coalescing window in seconds.  The first request of a batch
-        starts the timer; the batch flushes when it expires (or fills).
+        Coalescing window in seconds.  ``0`` (the default) batches by
+        arrival: whatever waits when the worker gets the loop runs as
+        the next batch.  A positive window holds a batch open from its
+        first request until the window expires (or the batch fills).
     max_batch:
-        Flush immediately once this many requests are waiting.
+        Largest batch handed to the runner; a positive window flushes
+        immediately once this many requests are waiting.
     max_queue:
         Admission bound: maximum requests waiting (coalescing or queued
         behind the in-flight batch) before :meth:`submit` sheds.
+    on_wait:
+        Optional callable receiving each request's queue wait in
+        seconds (admission to the start of its batch), e.g. a
+        histogram's ``observe``.
     """
 
-    def __init__(self, runner, *, window: float = 0.002,
-                 max_batch: int = 32, max_queue: int = 1024):
+    def __init__(self, runner, *, window: float = 0.0,
+                 max_batch: int = 32, max_queue: int = 1024,
+                 on_wait=None):
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
         if max_batch < 1:
@@ -95,6 +112,7 @@ class MicroBatcher:
         self.window = window
         self.max_batch = max_batch
         self.max_queue = max_queue
+        self._on_wait = on_wait
         self.stats = BatcherStats()
         self._pending: list[_Pending] = []
         self._wakeup = asyncio.Event()
@@ -126,7 +144,7 @@ class MicroBatcher:
                 self._worker()
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append(_Pending(spec, future))
+        self._pending.append(_Pending(spec, future, time.perf_counter()))
         self.stats.admitted += 1
         self._wakeup.set()
         return future
@@ -155,7 +173,12 @@ class MicroBatcher:
             await asyncio.gather(*waiting, return_exceptions=True)
 
     async def _worker(self) -> None:
-        """Single consumer: coalesce, then run batches back to back."""
+        """Single consumer: run whatever waits as the next batch.
+
+        With ``window == 0`` that is exactly the requests admitted
+        since the last batch was taken (up to ``max_batch``); a
+        positive window first holds the batch open on a timer.
+        """
         loop = asyncio.get_running_loop()
         while not self._closed:
             if not self._pending:
@@ -180,6 +203,10 @@ class MicroBatcher:
                 break
             batch = self._pending[: self.max_batch]
             del self._pending[: self.max_batch]
+            if self._on_wait is not None:
+                started = time.perf_counter()
+                for item in batch:
+                    self._on_wait(started - item.admitted)
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: list[_Pending]) -> None:

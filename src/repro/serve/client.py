@@ -85,8 +85,9 @@ class ServeClient:
     def pipeline(self, payloads: Sequence[dict]) -> list[dict]:
         """Send every request back to back, then collect the responses.
 
-        Pipelining is what feeds the server's coalescing window: the
-        requests arrive together and execute as shared engine batches.
+        Pipelining is what feeds the server's micro-batcher: the
+        requests arrive together, the server admits them in one pass
+        and executes them as shared engine batches.
         """
         for payload in payloads:
             self._file.write(protocol.encode(payload))

@@ -48,13 +48,11 @@ import contextlib
 import logging
 import multiprocessing
 import tempfile
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.errors import QueryError, ReproError
-from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.serve.server import (
@@ -62,7 +60,7 @@ from repro.serve.server import (
     DEFAULT_MAX_QUEUE,
     DEFAULT_WINDOW,
     ConnectionServer,
-    ServerHandle,
+    start_in_thread,
 )
 
 #: The fleet router's logger (a child of ``repro.serve``, so the CLI's
@@ -334,19 +332,19 @@ class FleetServer(ConnectionServer):
         self.mutations_applied = 0
         self.compactions = 0
         self.reroutes = 0
-        self.registry = self._build_registry()
+        self._build_registry()
 
-    def _build_registry(self) -> MetricsRegistry:
-        """Wire the router's observables into one metrics registry.
+    def _build_registry(self) -> None:
+        """Wire the router's observables into the one metrics registry.
 
         Everything is callback-backed over the router's own state (the
         plain attributes the tests and benchmarks read); the admission
         callbacks sum across the per-worker batchers at render time,
         so the registry stays correct as workers die.  The latency
-        histogram (round-trip seconds per worker batch, pipe included)
-        is the only owned series.
+        histograms (end-to-end request seconds, and round-trip seconds
+        per worker batch, pipe included) are the only owned series.
         """
-        registry = MetricsRegistry()
+        registry = self.registry
         registry.counter("queries_served", "Queries answered",
                          fn=lambda: self.queries_served)
         registry.counter("mutations_applied", "Point mutations applied",
@@ -385,24 +383,12 @@ class FleetServer(ConnectionServer):
         self.latency = registry.histogram(
             "batch_seconds", "Worker batch round-trip latency (seconds)"
         )
-        return registry
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Spawn and await the workers, then bind the listener."""
-        await self._start_workers()
-        self._batchers = [
-            MicroBatcher(
-                self._runner_for(index), window=self.window,
-                max_batch=self.max_batch, max_queue=self.max_queue,
-            )
-            for index in range(self.num_workers)
-        ]
-        await super().start(host, port)
-
-    async def _start_workers(self) -> None:
-        """Spawn every worker, then gather their ready stamps."""
+    async def _boot(self) -> None:
+        """Spawn every worker, gather their ready stamps, and give each
+        its batcher (the listener is already bound)."""
         context = multiprocessing.get_context("spawn")
         for index in range(self.num_workers):
             parent, child = context.Pipe()
@@ -422,10 +408,16 @@ class FleetServer(ConnectionServer):
         if len(set(stamps)) != 1:  # pragma: no cover - defensive
             raise ReproError(f"workers booted at diverging stamps {stamps}")
         self._stamp = stamps[0]
+        self._batchers = [
+            MicroBatcher(
+                self._runner_for(index), window=self.window,
+                max_batch=self.max_batch, max_queue=self.max_queue,
+            )
+            for index in range(self.num_workers)
+        ]
 
-    async def stop(self) -> None:
-        """Close the listener, drain batchers, shut every worker down."""
-        await super().stop()
+    async def _release(self) -> None:
+        """Drain batchers, shut every worker down."""
         for batcher in self._batchers:
             await batcher.close()
         for worker in self._workers:
@@ -656,6 +648,7 @@ class FleetServer(ConnectionServer):
             "subscriptions": 0,
             "admission": admission,
             "latency": self.latency.to_dict(),
+            "request_latency": self.request_latency.to_dict(),
         }
 
     def metrics_text(self) -> str:
@@ -688,6 +681,9 @@ def fleet_in_thread(source, *, workers: int = 2, host: str = "127.0.0.1",
         with fleet_in_thread(db, workers=4) as handle:
             client = ServeClient(handle.host, handle.port)
             ...
+
+    A fleet that fails to boot raises its own exception (e.g.
+    :class:`OSError` for a busy port) at once.
     """
     own_dir = None
     if hasattr(source, "save_snapshot"):
@@ -695,21 +691,10 @@ def fleet_in_thread(source, *, workers: int = 2, host: str = "127.0.0.1",
         source.save_snapshot(own_dir.name)
         source = own_dir.name
     try:
-        server = FleetServer(source, workers=workers, **kwargs)
-        ready = threading.Event()
-
-        def _run() -> None:
-            asyncio.run(
-                server.run(host, port, ready=lambda _address: ready.set())
-            )
-
-        thread = threading.Thread(target=_run, daemon=True,
-                                  name="repro-fleet")
-        thread.start()
-        if not ready.wait(timeout=DEFAULT_START_TIMEOUT):
-            server.request_stop()
-            raise RuntimeError("fleet failed to start within the timeout")
-        handle = ServerHandle(server, thread)
+        handle = start_in_thread(
+            FleetServer(source, workers=workers, **kwargs), host, port,
+            timeout=DEFAULT_START_TIMEOUT, name="repro-fleet",
+        )
         try:
             yield handle
         finally:

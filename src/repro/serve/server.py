@@ -52,6 +52,7 @@ import contextlib
 import json
 import logging
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.planner import backend_of
@@ -67,9 +68,10 @@ from repro.streams.monitor import RnnMonitor
 #: stdlib root handler; libraries embedding the server attach their own).
 logger = logging.getLogger("repro.serve")
 
-#: Default coalescing window: 2 ms keeps tail latency low while giving
-#: concurrent arrivals time to share a batch.
-DEFAULT_WINDOW = 0.002
+#: Default coalescing window: 0 batches by arrival ("group commit") --
+#: a lone request runs at once, while requests arriving during a running
+#: batch (or buffered together on a connection) share the next one.
+DEFAULT_WINDOW = 0.0
 
 #: Default maximum batch size handed to the engine in one execution.
 DEFAULT_MAX_BATCH = 32
@@ -83,6 +85,13 @@ MAX_SUBSCRIBER_BACKLOG = 1 << 20
 #: Unread response bytes before a connection stops being read from
 #: (TCP backpressure on clients that pipeline without ever reading).
 MAX_RESPONSE_BACKLOG = 1 << 20
+
+#: Seconds :meth:`ConnectionServer.stop` waits for connection handlers
+#: to finish once their connections are closed.
+STOP_TIMEOUT = 5.0
+
+#: Seconds :func:`serve_in_thread` waits for the server to report ready.
+START_TIMEOUT = 10.0
 
 
 class GenerationGate:
@@ -154,16 +163,25 @@ class ConnectionServer:
     Owns the listener, the shutdown handshake, and the JSON-lines /
     HTTP connection loops -- everything that does not depend on *how*
     a request is executed.  Subclasses plug in the execution policy
-    through five hooks: :meth:`_admit_query` (a query's pending
-    outcome), :meth:`_mutate` / :meth:`_compact` / :meth:`_subscribe`
-    (the non-query ops), and :meth:`metrics` / :meth:`_health`
-    (introspection).  :class:`RknnServer` executes in-process;
+    through hooks: :meth:`_boot` / :meth:`_release` (execution state
+    set up before the first connection and torn down after the last),
+    :meth:`_admit_query` (a query's pending outcome), :meth:`_mutate` /
+    :meth:`_compact` / :meth:`_subscribe` (the non-query ops), and
+    :meth:`metrics` / :meth:`_health` (introspection).
+    :class:`RknnServer` executes in-process;
     :class:`~repro.serve.fleet.FleetServer` routes to worker
     processes.
+
+    The base owns the server's one :attr:`registry` and its end-to-end
+    ``request_seconds`` histogram: every JSON-lines request, from the
+    moment its line is read to the moment its response is written.
     """
 
     def __init__(self):
         self._subscriptions: dict[asyncio.StreamWriter, _Subscription] = {}
+        # open connections and their handler tasks: stop() closes them
+        # and waits for the handlers, so none is left to be cancelled
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -174,11 +192,23 @@ class ConnectionServer:
         self._stop_mutex = threading.Lock()
         self.address: tuple[str, int] | None = None
         self.errors = 0
+        self.registry = MetricsRegistry()
+        self.request_latency = self.registry.histogram(
+            "request_seconds",
+            "End-to-end request latency, line read to response written "
+            "(seconds)",
+        )
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start accepting connections (port 0 = ephemeral)."""
+        """Bind, boot, then start accepting connections (port 0 =
+        ephemeral).
+
+        The port is bound *before* :meth:`_boot`, so a busy port fails
+        at once instead of after a slow boot; connections are accepted
+        only once the boot succeeded.
+        """
         with self._stop_mutex:
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
@@ -187,10 +217,16 @@ class ConnectionServer:
                 # immediately: serve_until_stopped() returns at once
                 self._stop.set()
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, host, port, start_serving=False
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
+        try:
+            await self._boot()
+        except BaseException:
+            await self.stop()
+            raise
+        await self._server.start_serving()
 
     async def serve_until_stopped(self) -> None:
         """Block until :meth:`request_stop` (or :meth:`stop`) is called."""
@@ -227,13 +263,33 @@ class ConnectionServer:
             loop.call_soon_threadsafe(stop.set)
 
     async def stop(self) -> None:
-        """Close the listener; subclasses release their execution state."""
+        """Close the listener and every open connection, release the
+        execution state, and wait for the connection handlers to end.
+
+        Closing a connection ends its handler's read loop; the handler
+        then answers what it already admitted (or fails it once
+        :meth:`_release` has closed the execution state) and returns
+        normally, so no handler is left for the event loop to cancel
+        at shutdown.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in list(self._connections):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
+        await self._release()
+        handlers = list(self._connections.values())
+        if handlers:
+            await asyncio.wait(handlers, timeout=STOP_TIMEOUT)
 
     # -- execution hooks ----------------------------------------------------
+
+    async def _boot(self) -> None:
+        """Set up the execution state before connections are accepted."""
+
+    async def _release(self) -> None:
+        """Tear down the execution state (waiting requests fail)."""
 
     def _admit_query(self, payload: dict):
         """Admit one ``query`` request; return its pending outcome.
@@ -275,6 +331,7 @@ class ConnectionServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._connections[writer] = asyncio.current_task()
         try:
             first = await reader.readline()
             if not first:
@@ -288,6 +345,7 @@ class ConnectionServer:
             # the line framing is lost, so drop the connection cleanly
             pass
         finally:
+            self._connections.pop(writer, None)
             self._subscriptions.pop(writer, None)
             # no wait_closed(): the handler may itself be cancelled at
             # loop shutdown, and awaiting here would log that cancellation
@@ -305,7 +363,8 @@ class ConnectionServer:
         loop*: no later line on the connection is read until they
         complete, so a pipelined query after an insert always observes
         the bumped generation (per-connection read-your-writes).  A
-        per-connection drain preserves response order.
+        per-connection drain preserves response order, and stamps each
+        request's end-to-end latency once its response is written.
         """
         responses: asyncio.Queue = asyncio.Queue()
         drain = asyncio.get_running_loop().create_task(
@@ -316,9 +375,9 @@ class ConnectionServer:
             while line:
                 stripped = line.strip()
                 if stripped:
-                    item = self._admit(stripped, writer)
-                    await responses.put(item)
-                    pending = item[1]
+                    read_at = time.perf_counter()
+                    request_id, pending = self._admit(stripped, writer)
+                    await responses.put((request_id, pending, read_at))
                     if isinstance(pending, asyncio.Task):
                         # the mutation barrier; also bounds this
                         # connection to one task in flight (its failure
@@ -388,7 +447,7 @@ class ConnectionServer:
             item = await queue.get()
             if item is None:
                 return
-            request_id, pending = item
+            request_id, pending, read_at = item
             if isinstance(pending, dict):
                 payload = pending
             else:
@@ -404,6 +463,7 @@ class ConnectionServer:
             if request_id is not None:
                 payload["id"] = request_id
             writer.write(protocol.encode(payload))
+            self.request_latency.observe(time.perf_counter() - read_at)
             # flush once per quiet period, not per line -- unless the
             # transport buffer is backing up (client not reading)
             if (queue.empty() or writer.transport.get_write_buffer_size()
@@ -502,9 +562,14 @@ class RknnServer(ConnectionServer):
         self.engine = db.engine(cache_entries=cache_entries,
                                 slow_log=slow_log)
         self.workers = workers
+        self.queue_wait = self.registry.histogram(
+            "queue_wait_seconds",
+            "Admission queue wait, admit to batch start (seconds)",
+        )
         self.batcher = MicroBatcher(
             self._run_batch, window=window,
             max_batch=max_batch, max_queue=max_queue,
+            on_wait=self.queue_wait.observe,
         )
         self._gate = GenerationGate()
         # Delta-overlay backends expose a snapshot stamp: mutations
@@ -517,18 +582,19 @@ class RknnServer(ConnectionServer):
         self.mutations_applied = 0
         self.compactions = 0
         self.events_pushed = 0
-        self.registry = self._build_registry()
+        self._build_registry()
 
-    def _build_registry(self) -> MetricsRegistry:
-        """Wire every observable number into one metrics registry.
+    def _build_registry(self) -> None:
+        """Wire every observable number into the one metrics registry.
 
         Pre-existing sources of truth (the plain server counters the
         tests and benchmarks read, the batcher's admission stats, the
         engine's cache stats, the database's tracker) join as
         callback-backed metrics, so nothing is double-booked; the
-        latency histogram is the registry's only owned series.
+        latency histograms (request, queue wait, batch) are the
+        registry's only owned series.
         """
-        registry = MetricsRegistry()
+        registry = self.registry
         registry.counter("queries_served", "Queries answered",
                          fn=lambda: self.queries_served)
         registry.counter("mutations_applied", "Point mutations applied",
@@ -580,13 +646,11 @@ class RknnServer(ConnectionServer):
         self.latency = registry.histogram(
             "batch_seconds", "Engine batch execution latency (seconds)"
         )
-        return registry
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def stop(self) -> None:
-        """Close the listener, fail waiting requests, release the pool."""
-        await super().stop()
+    async def _release(self) -> None:
+        """Fail waiting requests, release the pool."""
         await self.batcher.close()
         self._executor.shutdown(wait=True)
 
@@ -852,6 +916,8 @@ class RknnServer(ConnectionServer):
                 "oracle_prunes": tracker.oracle_prunes,
             },
             "latency": self.latency.to_dict(),
+            "request_latency": self.request_latency.to_dict(),
+            "queue_wait": self.queue_wait.to_dict(),
         }
         if self._overlay:
             stamp = self.db.stamp
@@ -880,7 +946,7 @@ class ServerHandle:
     when the context exits.
     """
 
-    def __init__(self, server: RknnServer, thread: threading.Thread):
+    def __init__(self, server: ConnectionServer, thread: threading.Thread):
         self.server = server
         self._thread = thread
 
@@ -900,6 +966,40 @@ class ServerHandle:
         self._thread.join(timeout=10)
 
 
+def start_in_thread(server: ConnectionServer, host: str, port: int, *,
+                    timeout: float, name: str) -> ServerHandle:
+    """Run ``server`` on a daemon thread; return once it accepts.
+
+    A server that fails to boot (a busy port, a worker that cannot
+    load) re-raises its own exception here the moment its thread dies,
+    instead of leaving the caller to wait out ``timeout``.  A server
+    that neither boots nor fails within ``timeout`` seconds is asked
+    to stop and reported as a :class:`RuntimeError`.
+    """
+    ready = threading.Event()
+    failure: list[BaseException] = []
+
+    def _run() -> None:
+        try:
+            asyncio.run(server.run(host, port,
+                                   ready=lambda _address: ready.set()))
+        except BaseException as exc:
+            if ready.is_set():  # a crash while serving: report as usual
+                raise
+            failure.append(exc)
+            ready.set()
+
+    thread = threading.Thread(target=_run, daemon=True, name=name)
+    thread.start()
+    if not ready.wait(timeout=timeout):
+        server.request_stop()
+        raise RuntimeError(f"{name} failed to start within {timeout:g} s")
+    if failure:
+        thread.join()
+        raise failure[0]
+    return ServerHandle(server, thread)
+
+
 @contextlib.contextmanager
 def serve_in_thread(db, *, host: str = "127.0.0.1", port: int = 0,
                     **kwargs):
@@ -910,18 +1010,12 @@ def serve_in_thread(db, *, host: str = "127.0.0.1", port: int = 0,
         with serve_in_thread(db, max_batch=16) as handle:
             client = ServeClient(handle.host, handle.port)
             ...
+
+    A server that fails to boot raises its own exception (e.g.
+    :class:`OSError` for a busy port) at once.
     """
-    server = RknnServer(db, **kwargs)
-    ready = threading.Event()
-
-    def _run() -> None:
-        asyncio.run(server.run(host, port, ready=lambda _address: ready.set()))
-
-    thread = threading.Thread(target=_run, daemon=True, name="repro-serve")
-    thread.start()
-    if not ready.wait(timeout=10):
-        raise RuntimeError("server failed to start within 10 s")
-    handle = ServerHandle(server, thread)
+    handle = start_in_thread(RknnServer(db, **kwargs), host, port,
+                             timeout=START_TIMEOUT, name="repro-serve")
     try:
         yield handle
     finally:

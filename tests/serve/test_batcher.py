@@ -113,6 +113,90 @@ class TestCoalescing:
         assert stats["shed"] == 0
 
 
+class _Gated:
+    """A runner whose first batch blocks until :attr:`release` is set."""
+
+    def __init__(self):
+        self.batches: list[list[int]] = []
+        self.started = asyncio.Event()
+        self.release = asyncio.Event()
+
+    async def __call__(self, specs):
+        self.batches.append([s.query for s in specs])
+        self.started.set()
+        await self.release.wait()
+        return [f"result-{s.query}" for s in specs]
+
+
+class TestGroupCommit:
+    """The default window 0 batches by arrival, with no timer."""
+
+    def test_default_window_is_zero(self):
+        assert MicroBatcher(_Recorder()).window == 0.0
+
+    def test_requests_admitted_during_a_batch_run_as_the_next_batch(self):
+        async def scenario():
+            runner = _Gated()
+            batcher = MicroBatcher(runner, max_batch=8)
+            first = batcher.admit(spec(0))
+            await runner.started.wait()  # batch [0] is now running
+            later = [batcher.admit(spec(i)) for i in range(1, 6)]
+            runner.release.set()
+            results = await asyncio.gather(first, *later)
+            await batcher.close()
+            return runner.batches, results, batcher.stats.snapshot()
+
+        batches, results, stats = run(scenario())
+        assert batches == [[0], [1, 2, 3, 4, 5]]
+        assert results == [f"result-{i}" for i in range(6)]
+        assert stats["batches"] == 2 and stats["coalesced"] == 5
+
+    def test_queued_requests_split_at_max_batch(self):
+        async def scenario():
+            runner = _Gated()
+            batcher = MicroBatcher(runner, max_batch=4)
+            first = batcher.admit(spec(0))
+            await runner.started.wait()
+            later = [batcher.admit(spec(i)) for i in range(1, 7)]
+            runner.release.set()
+            await asyncio.gather(first, *later)
+            await batcher.close()
+            return runner.batches
+
+        assert run(scenario()) == [[0], [1, 2, 3, 4], [5, 6]]
+
+    def test_burst_admitted_in_one_loop_pass_is_one_batch(self):
+        async def scenario():
+            recorder = _Recorder()
+            batcher = MicroBatcher(recorder)
+            # no await between admissions: one pass of the event loop
+            futures = [batcher.admit(spec(i)) for i in range(8)]
+            results = await asyncio.gather(*futures)
+            await batcher.close()
+            return recorder.batches, results
+
+        batches, results = run(scenario())
+        assert batches == [[spec(i) for i in range(8)]]
+        assert results == [f"result-{i}" for i in range(8)]
+
+    def test_on_wait_sees_every_request_once(self):
+        async def scenario():
+            waits: list[float] = []
+            runner = _Gated()
+            batcher = MicroBatcher(runner, on_wait=waits.append)
+            first = batcher.admit(spec(0))
+            await runner.started.wait()
+            later = [batcher.admit(spec(i)) for i in range(1, 4)]
+            runner.release.set()
+            await asyncio.gather(first, *later)
+            await batcher.close()
+            return waits
+
+        waits = run(scenario())
+        assert len(waits) == 4
+        assert all(wait >= 0.0 for wait in waits)
+
+
 class TestBackpressure:
     def test_sheds_beyond_max_queue(self):
         async def scenario():

@@ -7,8 +7,11 @@ after mutations, and clean degradation -- not hangs, not mixed
 generations -- when a worker process is killed mid-service.
 """
 
+import errno
 import os
 import signal
+import socket
+import time
 
 import pytest
 
@@ -167,6 +170,20 @@ class TestObservability:
         assert samples[inf_key] == samples["repro_batch_seconds_count"]
         assert samples["repro_batch_seconds_count"] >= 1.0
 
+    def test_request_seconds_counts_every_request(self, fleet):
+        handle, _ = fleet
+
+        def count() -> float:
+            text = http_get_text(handle.host, handle.port,
+                                 "/metrics?format=prometheus")
+            return parse_prometheus_text(text)["repro_request_seconds_count"]
+
+        before = count()
+        with client_of(handle) as client:
+            for node in range(4):
+                assert client.rknn(node, k=1)["status"] == "ok"
+        assert count() - before == 4
+
     def test_traced_query_carries_span_tree(self, fleet, inputs):
         handle, db = fleet
         with client_of(handle) as client:
@@ -321,6 +338,21 @@ def test_fleet_server_rejects_zero_workers(tmp_path, inputs):
     root = db.save_snapshot(tmp_path / "snap")
     with pytest.raises(QueryError, match="workers"):
         FleetServer(root, workers=0)
+
+
+def test_fleet_busy_port_fails_at_once(inputs):
+    db = build_compact(inputs)
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen()
+        began = time.monotonic()
+        with pytest.raises(OSError) as failure:
+            with fleet_in_thread(db, workers=1,
+                                 port=blocker.getsockname()[1]):
+                pass
+        elapsed = time.monotonic() - began
+    assert failure.value.errno == errno.EADDRINUSE
+    assert elapsed < 5.0
 
 
 def test_fleet_boots_from_existing_snapshot_dir(tmp_path, inputs):

@@ -1,6 +1,9 @@
 """RknnServer: protocol surface, batching, backpressure, generation swap."""
 
+import errno
 import json
+import logging
+import socket
 import threading
 import time
 
@@ -82,6 +85,23 @@ class TestQueries:
                     {"op": "query", "kind": "knn", "query": 3, "id": "req-7"}
                 )
         assert response["id"] == "req-7"
+
+
+class TestGroupCommit:
+    def test_pipelined_group_is_one_batch_by_default(self, inputs):
+        """Default settings batch by arrival: a pipelined group of 8
+        distinct specs (the served cold-cache shape) is one batch."""
+        graph, placement = inputs
+        db = build_db("compact", graph, placement)
+        requests = [{"op": "query", "kind": "rknn", "query": q, "k": 2,
+                     "method": "eager"} for q in range(0, 80, 10)]
+        with serve_in_thread(db) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                before = client.metrics()["admission"]["batches"]
+                responses = client.pipeline(requests)
+                after = client.metrics()["admission"]["batches"]
+        assert [r["status"] for r in responses] == ["ok"] * 8
+        assert after - before == 1
 
 
 class TestErrors:
@@ -313,6 +333,25 @@ class TestObservability:
         inf_key = 'repro_batch_seconds_bucket{le="+Inf"}'
         assert samples[inf_key] == samples["repro_batch_seconds_count"]
 
+    def test_request_and_queue_wait_histograms(self, db):
+        queries = 5
+        with serve_in_thread(db) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                for node in range(queries):
+                    assert client.rknn(node, k=1)["status"] == "ok"
+                text = http_get_text(handle.host, handle.port,
+                                     "/metrics?format=prometheus")
+                body = client.metrics()
+        samples = parse_prometheus_text(text)
+        assert samples["repro_request_seconds_count"] == queries
+        assert samples["repro_queue_wait_seconds_count"] == queries
+        # a request's end-to-end time contains its engine batch
+        assert (samples["repro_request_seconds_sum"]
+                >= samples["repro_batch_seconds_sum"])
+        # the metrics request answers before its own latency is stamped
+        assert body["request_latency"]["count"] == queries
+        assert body["queue_wait"]["count"] == queries
+
     def test_traced_query_carries_span_tree(self, db, reference):
         with serve_in_thread(db) as handle:
             with ServeClient(handle.host, handle.port) as client:
@@ -485,6 +524,35 @@ class TestLifecycle:
             await asyncio.wait_for(server.run("127.0.0.1", 0), timeout=10)
 
         asyncio.run(boot())
+
+    def test_shutdown_with_open_connection_is_silent(self, db, caplog):
+        """Stopping a server whose client never hung up must neither
+        log a traceback nor outlive the context."""
+        with caplog.at_level(logging.WARNING):
+            with serve_in_thread(db) as handle:
+                sock = socket.create_connection((handle.host, handle.port),
+                                                timeout=10)
+                sock.sendall(b'{"op": "query", "kind": "rknn", '
+                             b'"query": 5, "k": 1}\n')
+                reply = sock.makefile("rb").readline()
+            stopped = not handle._thread.is_alive()
+            sock.close()
+        assert json.loads(reply)["status"] == "ok"
+        assert stopped
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.ERROR] == []
+
+    def test_busy_port_fails_at_once(self, db):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen()
+            began = time.monotonic()
+            with pytest.raises(OSError) as failure:
+                with serve_in_thread(db, port=blocker.getsockname()[1]):
+                    pass
+            elapsed = time.monotonic() - began
+        assert failure.value.errno == errno.EADDRINUSE
+        assert elapsed < 5.0
 
     def test_request_stop_from_another_thread_after_start(self, db):
         """The existing post-start path keeps working: request_stop()
