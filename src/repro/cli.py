@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--materialize", type=int, default=0, metavar="K",
                        help="build K-NN lists before executing (for eager-m)")
     batch.add_argument("--buffer-pages", type=int, default=256)
-    batch.add_argument("--no-plan", action="store_true",
-                       help="execute in file order (no locality planning)")
     batch.add_argument("--no-batch-kernel", action="store_true",
                        help="disable the vectorized compact batch kernel "
                             "(scalar per-query execution)")
@@ -578,7 +576,7 @@ def _batch(args: argparse.Namespace) -> int:
         raise QueryError(f"--repeat must be >= 1, got {args.repeat}")
     graph, points = load_graph(args.graph)
     db, backend = _open_backend(args, graph, points)
-    engine = db.engine(cache_entries=args.cache_size, plan=not args.no_plan,
+    engine = db.engine(cache_entries=args.cache_size,
                        batch_kernel=not args.no_batch_kernel)
     for round_no in range(args.repeat):
         outcome = engine.run_batch(specs, workers=args.workers)

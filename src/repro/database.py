@@ -597,11 +597,12 @@ class Database:
         ----------
         **kwargs:
             Forwarded to the engine constructor (``cache_entries``,
-            ``calibrator``, ``plan``, ``shard_parallel``,
-            ``batch_kernel``).  The engine picks its worker strategy
-            from the backend: shard-major routing on a sharded store,
-            array-sharing sessions and the vectorized ``batch_rknn``
-            kernel on the compact store.
+            ``calibrator``, ``batch_kernel``, ``tracer``,
+            ``slow_log``).  Every batch is planned for locality, and
+            the engine picks its worker strategy from the backend:
+            home-shard routing on a sharded store, array-sharing
+            sessions and the vectorized ``batch_rknn`` kernel on the
+            compact store.
 
         Returns
         -------

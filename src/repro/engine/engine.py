@@ -54,7 +54,6 @@ from typing import Sequence
 from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.groups import expand, needs_expansion
 from repro.engine.planner import (
-    BatchPlan,
     backend_of,
     home_shard,
     kernel_batch_kinds,
@@ -134,18 +133,6 @@ class QueryEngine:
         Optional :class:`~repro.analytics.planner.CalibratingPlanner`;
         required to execute ``method="auto"`` specs and used to order
         RkNN groups by estimated cost.
-    plan:
-        When false, batches execute in the caller's order (no locality
-        grouping); the cache still applies.
-    shard_parallel:
-        Shard-aware worker routing (default on).  When the database is
-        sharded (it exposes ``shard_of``) and a batch runs with
-        ``workers > 1``, pending queries are bucketed by the shard
-        their expansion starts in and whole buckets are assigned to
-        workers, so independent shards execute concurrently and no two
-        workers contend for the same shard's pages.  Ignored for
-        unsharded databases; ``False`` falls back to contiguous
-        chunking.
     batch_kernel:
         Vectorized batch dispatch (default on).  Over a compact
         backend, the cache-missing RkNN / continuous specs of a batch
@@ -174,8 +161,6 @@ class QueryEngine:
         *,
         cache_entries: int = 1024,
         calibrator=None,
-        plan: bool = True,
-        shard_parallel: bool = True,
         batch_kernel: bool = True,
         tracer=None,
         slow_log=None,
@@ -183,8 +168,6 @@ class QueryEngine:
         self.db = db
         self.cache = ResultCache(cache_entries)
         self.calibrator = calibrator
-        self.plan_batches = plan
-        self.shard_parallel = shard_parallel
         self.batch_kernel = batch_kernel
         self.tracer = NOOP_TRACER if tracer is None else tracer
         self.slow_log = slow_log
@@ -326,13 +309,8 @@ class QueryEngine:
             )
             flat.extend(expansion.subspecs)
 
-        with tracer.span("planner.plan_batch", specs=len(flat),
-                         planned=self.plan_batches):
-            if self.plan_batches:
-                plan = plan_batch(self.db, flat, self.calibrator)
-            else:
-                resolved = tuple(resolve_method(s, self.calibrator) for s in flat)
-                plan = BatchPlan(resolved, tuple(range(len(resolved))))
+        with tracer.span("planner.plan_batch", specs=len(flat)):
+            plan = plan_batch(self.db, flat, self.calibrator)
 
         flat_results: list = [None] * len(flat)
         pending: list[tuple[int, QuerySpec]] = []  # first occurrence per key
@@ -407,7 +385,7 @@ class QueryEngine:
             # backend="compact"/"disk": contiguous planner-order chunks
             # (compact sessions share the read-only CSR arrays, so the
             # pool costs one tracker per worker, not a storage clone).
-            if self.shard_parallel and self.backend == "sharded":
+            if self.backend == "sharded":
                 chunks = _shard_chunks(self.db, pending, workers)
             else:
                 chunks = _contiguous_chunks(pending, workers)

@@ -84,7 +84,6 @@ def build_plan(engine, spec: QuerySpec) -> dict:
             engine.batch_kernel
             and resolved.kind in kernel_batch_kinds(engine.db)
         ),
-        "planned": engine.plan_batches,
     }
 
 

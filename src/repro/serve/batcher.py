@@ -24,8 +24,9 @@ retry signal for unbounded queueing latency.
 
 The batcher is a single-consumer design: one long-lived worker task
 drains the admission queue, so batches execute strictly one after
-another and the server's generation gate only ever arbitrates between
-*one* reader (the running batch) and the mutation stream.
+another.  Each request may carry an opaque ``flag`` (the servers use
+it to mark traced and ``EXPLAIN`` requests); the runner receives the
+flags index-aligned with the specs.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class _Pending:
     spec: QuerySpec
     future: asyncio.Future = field(repr=False)
     admitted: float  # time.perf_counter() at admission
+    flag: object = None  # handed back to the runner with the spec
 
 
 class MicroBatcher:
@@ -79,9 +81,10 @@ class MicroBatcher:
     Parameters
     ----------
     runner:
-        Async callable executing one batch: takes a list of specs,
-        returns an index-aligned list of outcomes (the server supplies
-        the generation-pinned engine call).
+        Async callable executing one batch: takes a list of specs and
+        the index-aligned list of their admission flags, returns an
+        index-aligned list of outcomes (the server supplies the engine
+        call that builds response bodies).
     window:
         Coalescing window in seconds.  ``0`` (the default) batches by
         arrival: whatever waits when the worker gets the loop runs as
@@ -124,12 +127,14 @@ class MicroBatcher:
         """Requests currently waiting for a batch to run."""
         return len(self._pending)
 
-    def admit(self, spec: QuerySpec) -> asyncio.Future:
+    def admit(self, spec: QuerySpec, flag=None) -> asyncio.Future:
         """Admit one query synchronously; return the future of its outcome.
 
-        Admission at call time (no coroutine scheduling in between) is
-        what lets the server coalesce a pipelined connection: every
-        request line joins the pending batch the moment it is read.
+        ``flag`` travels with the spec to the runner (``None`` for a
+        plain request).  Admission at call time (no coroutine
+        scheduling in between) is what lets the server coalesce a
+        pipelined connection: every request line joins the pending
+        batch the moment it is read.
         Raises :class:`QueueFull` when admission control sheds the
         request; the returned future fails with
         :class:`ConnectionError` if the batcher closes first.
@@ -144,7 +149,7 @@ class MicroBatcher:
                 self._worker()
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append(_Pending(spec, future, time.perf_counter()))
+        self._pending.append(_Pending(spec, future, time.perf_counter(), flag))
         self.stats.admitted += 1
         self._wakeup.set()
         return future
@@ -162,11 +167,10 @@ class MicroBatcher:
         """Wait until every request admitted so far has been executed.
 
         The mutation barrier: the server fences the batcher before
-        taking the exclusive generation lease, so a query admitted
-        before a mutation always executes at the pre-mutation
-        generation (the batch already in flight is the generation
-        gate's concern, not ours).  Requests admitted *after* the fence
-        simply land behind the mutation's write lease.
+        queueing an exclusive operation on its executor, so a query
+        admitted before a mutation always executes at the pre-mutation
+        generation.  Requests admitted *after* the fence run before or
+        after the operation, and their responses say which.
         """
         waiting = [item.future for item in self._pending]
         if waiting:
@@ -216,7 +220,8 @@ class MicroBatcher:
         if len(batch) > 1:
             self.stats.coalesced += len(batch)
         try:
-            outcomes = await self._runner([item.spec for item in batch])
+            outcomes = await self._runner([item.spec for item in batch],
+                                          [item.flag for item in batch])
         except Exception as exc:
             if len(batch) == 1:
                 if not batch[0].future.done():

@@ -25,12 +25,14 @@ and the router verifies that all workers report the **same**
 post-operation stamp before acknowledging -- fleet-wide agreement on
 ``(base_generation, delta_epoch)``.  Every query batch executes wholly
 inside one worker, whose single dispatch loop captures the stamp and
-the answers in the same serialized interval, so no response ever mixes
-base generations -- the same guarantee the single-process
-GenerationGate gives, held across processes.  Read-your-writes per
-connection survives too: a mutation barriers the connection's read
-loop until every worker applied it, so any later query observes the
-new stamp on whichever worker serves it.
+builds the response bodies in the same serialized interval
+(:func:`~repro.serve.server.execute_batch`, the function the
+single-process server's executor runs), so no response ever mixes
+base generations.  Traced and ``EXPLAIN`` queries ride the same
+batches; their span trees come home over the pipe in the bodies.
+Read-your-writes per connection survives too: a mutation barriers the
+connection's read loop until every worker applied it, so any later
+query observes the new stamp on whichever worker serves it.
 
 **Fault handling.**  A worker death is detected at the pipe (EOF /
 broken pipe).  In-flight and future batches for the dead worker are
@@ -53,13 +55,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.errors import QueryError, ReproError
-from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.serve.server import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_QUEUE,
     DEFAULT_WINDOW,
     ConnectionServer,
+    execute_batch,
     start_in_thread,
 )
 
@@ -87,43 +89,11 @@ def _dispatch(db, engine, config: dict, request: dict) -> dict:
     """
     kind = request["kind"]
     if kind == "batch":
-        generation = db.generation
-        stamp = db.stamp
-        specs = request["specs"]
-        if request.get("trace"):
-            # traced/EXPLAIN batches run under a worker-local tracer;
-            # the span tree rides home over the pipe in each body
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer()
-            outcome = engine.run_batch(
-                specs, workers=config.get("engine_workers", 1),
-                tracer=tracer,
-            )
-            bodies = [
-                protocol.result_payload(result, generation, stamp)
-                for result in outcome.results
-            ]
-            trace_payload = tracer.to_payload()
-            for body in bodies:
-                body["trace"] = trace_payload
-            if request.get("explain"):
-                from repro.qlang.api import build_plan
-
-                for body, spec in zip(bodies, specs):
-                    body["explain"] = True
-                    body["plan"] = build_plan(engine, spec)
-            return {"kind": "bodies", "bodies": bodies}
-        outcome = engine.run_batch(
-            specs, workers=config.get("engine_workers", 1)
+        _, bodies = execute_batch(
+            db, engine, request["specs"], request["flags"],
+            workers=config.get("engine_workers", 1),
         )
-        return {
-            "kind": "bodies",
-            "bodies": [
-                protocol.result_payload(result, generation, stamp)
-                for result in outcome.results
-            ],
-        }
+        return {"kind": "bodies", "bodies": bodies}
     if kind == "mutate":
         if request["op"] == "insert":
             outcome = db.insert_point(request["pid"], request["location"])
@@ -341,8 +311,9 @@ class FleetServer(ConnectionServer):
         plain attributes the tests and benchmarks read); the admission
         callbacks sum across the per-worker batchers at render time,
         so the registry stays correct as workers die.  The latency
-        histograms (end-to-end request seconds, and round-trip seconds
-        per worker batch, pipe included) are the only owned series.
+        histograms (end-to-end request seconds, queue wait across every
+        worker's batcher, and round-trip seconds per worker batch, pipe
+        included) are the only owned series.
         """
         registry = self.registry
         registry.counter("queries_served", "Queries answered",
@@ -412,6 +383,7 @@ class FleetServer(ConnectionServer):
             MicroBatcher(
                 self._runner_for(index), window=self.window,
                 max_batch=self.max_batch, max_queue=self.max_queue,
+                on_wait=self.queue_wait.observe,
             )
             for index in range(self.num_workers)
         ]
@@ -456,16 +428,12 @@ class FleetServer(ConnectionServer):
                 return candidate
         return None
 
-    def _admit_query(self, payload: dict):
-        """Admit a query into its home worker's batcher.
+    def _batcher_for(self, spec) -> MicroBatcher:
+        """The home worker's batcher.
 
         A dead home worker reroutes at admission; with no live worker
-        the request is refused outright (clean error, no hang).  A
-        ``trace``-flagged (or ``EXPLAIN``) request bypasses the batcher
-        and ships to its worker as a dedicated single-spec batch, so
-        the returned span tree covers exactly that request.
+        the request is refused outright (clean error, no hang).
         """
-        spec, trace, explain = protocol.request_query(payload)
         home = self._worker_of(spec)
         target = home if self._workers[home].alive else self._next_live(home)
         if target is None:
@@ -476,29 +444,17 @@ class FleetServer(ConnectionServer):
                 "rerouted query at admission: worker %d is dead, "
                 "using worker %d", home, target,
             )
-        if trace:
-            return asyncio.get_running_loop().create_task(
-                self._run_traced(target, spec, explain)
-            )
-        return self._batchers[target].admit(spec)
-
-    async def _run_traced(self, index: int, spec, explain: bool) -> dict:
-        """One traced spec as its own worker batch; return its body."""
-        bodies = await self._run_worker_batch(
-            index, [spec], trace=True, explain=explain
-        )
-        return bodies[0]
+        return self._batchers[target]
 
     def _runner_for(self, index: int):
         """The batch runner bound to worker ``index``'s pipe."""
 
-        async def run(specs):
-            return await self._run_worker_batch(index, specs)
+        async def run(specs, flags):
+            return await self._run_worker_batch(index, specs, flags)
 
         return run
 
-    async def _run_worker_batch(self, index: int, specs, *,
-                                trace: bool = False, explain: bool = False):
+    async def _run_worker_batch(self, index: int, specs, flags):
         """Ship one coalesced batch to a worker; reroute on death.
 
         The reply's bodies each carry the stamp the worker captured
@@ -508,10 +464,8 @@ class FleetServer(ConnectionServer):
         (every worker holds the full snapshot and mutation history, so
         any of them answers identically).
         """
-        request = {"kind": "batch", "specs": list(specs)}
-        if trace:
-            request["trace"] = True
-            request["explain"] = explain
+        request = {"kind": "batch", "specs": list(specs),
+                   "flags": list(flags)}
         began = time.perf_counter()
         try:
             reply = await self._workers[index].call(request)
@@ -539,9 +493,10 @@ class FleetServer(ConnectionServer):
         The mutation lock serializes broadcasts, so every worker
         applies the same operations in the same order.  After the
         fan-out the router asserts that all live workers report the
-        **same** post-operation stamp -- the fleet-wide extension of
-        the generation gate's invariant; divergence (a worker applying
-        out of order) fails loudly instead of serving mixed answers.
+        **same** post-operation stamp -- one stamp fleet-wide, as one
+        executor gives it in a single process; divergence (a worker
+        applying out of order) fails loudly instead of serving mixed
+        answers.
         A worker dying mid-broadcast just leaves the fleet (it will
         never answer again, so it cannot leak a stale generation).
         """
@@ -649,6 +604,7 @@ class FleetServer(ConnectionServer):
             "admission": admission,
             "latency": self.latency.to_dict(),
             "request_latency": self.request_latency.to_dict(),
+            "queue_wait": self.queue_wait.to_dict(),
         }
 
     def metrics_text(self) -> str:

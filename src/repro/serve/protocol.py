@@ -87,8 +87,8 @@ def decode(line: bytes | str) -> dict:
     return payload
 
 
-def request_query(payload: Mapping) -> tuple[QuerySpec, bool, bool]:
-    """Extract ``(spec, trace, explain)`` from a ``query`` request.
+def request_query(payload: Mapping) -> tuple[QuerySpec, str | None]:
+    """Extract ``(spec, flag)`` from a ``query`` request.
 
     A request may carry either raw spec fields or one qlang
     ``statement`` string (``{"op": "query", "statement": "SELECT * FROM
@@ -96,14 +96,14 @@ def request_query(payload: Mapping) -> tuple[QuerySpec, bool, bool]:
     :func:`repro.qlang.compiler.compile_statements` -- mixing the two
     forms is rejected.
 
-    ``trace`` is the envelope's opt-in flag (``{"trace": true}``): the
-    response will carry the executed span tree.  ``explain`` is set by
-    an ``EXPLAIN``-prefixed statement and implies a trace plus the
-    compiled plan in the response.
+    ``flag`` is ``None`` for a plain query, ``"trace"`` when the
+    envelope opts in (``{"trace": true}``: the response will carry the
+    executed span tree), and ``"explain"`` for an ``EXPLAIN``-prefixed
+    statement (the span tree plus the compiled plan).
     """
     fields = {key: value for key, value in payload.items()
               if key not in _ENVELOPE_FIELDS}
-    trace = bool(payload.get("trace"))
+    flag = "trace" if payload.get("trace") else None
     statement = fields.pop("statement", None)
     if statement is not None:
         if fields:
@@ -125,8 +125,8 @@ def request_query(payload: Mapping) -> tuple[QuerySpec, bool, bool]:
                 f"got {len(statements)}; send one request per statement"
             )
         compiled = statements[0]
-        return compiled.spec, trace or compiled.explain, compiled.explain
-    return QuerySpec.from_payload(fields), trace, False
+        return compiled.spec, "explain" if compiled.explain else flag
+    return QuerySpec.from_payload(fields), flag
 
 
 def request_spec(payload: Mapping) -> QuerySpec:

@@ -1,4 +1,4 @@
-"""The asyncio RkNN server: admission, batching, generation swap.
+"""The asyncio RkNN server: admission, batching, one ordering point.
 
 :class:`RknnServer` turns any facade database -- disk, sharded,
 compact, oracle attached or not -- into a network service.  One
@@ -6,30 +6,31 @@ asyncio event loop owns every connection; queries are admitted into a
 :class:`~repro.serve.batcher.MicroBatcher` and executed as engine
 batches on a worker thread, so the loop never blocks on query work.
 
-**Generation swap (disk / sharded backends).**  Mutations (``insert``
-/ ``delete`` requests) and query batches are arbitrated by a
-writer-preferring :class:`GenerationGate`: a batch runs under a *read
-lease* pinning the database's update generation for its whole
-execution, while a mutation waits for in-flight batches to drain,
-applies under an exclusive lease, and bumps the generation.  Batches
-admitted after the mutation run against the new generation.  No
-response ever mixes generations, and every response carries the
-generation it was computed at, so a client can replay the mutation
-log and verify any answer against a direct facade call.
+**One executor orders everything.**  Every batch, mutation, fold and
+subscription registration runs as one task on a single-thread
+executor, so no two of them ever overlap.  A batch task reads the
+database's generation (and its snapshot ``stamp``, when it has one)
+immediately before the engine runs and builds every response body
+there (:func:`execute_batch`), so the generation a response claims is
+the state that produced it -- no response ever mixes generations, and
+a client can replay the mutation log and verify any answer against a
+direct facade call.  Traced and ``EXPLAIN`` requests take the same
+path: a batch holding one runs under a tracer, and each flagged
+member's body carries the batch's span tree.
 
-**Delta-overlay appends (compact backend).**  A database exposing a
-snapshot ``stamp`` (``(base_generation, delta_epoch)``; see
-:mod:`repro.compact.overlay`) flips the serve tier into append mode:
-``insert`` / ``delete`` requests skip the gate entirely -- the write
-is an append to the overlay log, readers keep the immutable state
-they pinned, and the single-thread executor (which already serializes
-batches and mutations) is the only ordering mechanism.  Writes never
-drain reads; the gate's exclusive lease survives solely for the
-``compact`` op (folding the log into a fresh base) and for
-subscription registration, and every gate drain is counted in
-``/metrics`` so the no-drain-on-append property is observable.  Every
-response carries the stamp it was computed at, replay-verifiable
-against a from-scratch rebuild of that snapshot.
+**Writes.**  On disk and sharded databases an ``insert`` / ``delete``
+first *fences* the batcher -- every query admitted before it executes
+at the old generation -- then applies as one executor task together
+with the subscription refreshes.  A database exposing a snapshot
+``stamp`` (``(base_generation, delta_epoch)``; see
+:mod:`repro.compact.overlay`) takes writes as overlay appends: no
+fence, readers keep the immutable state they pinned, and the response
+carries the post-append stamp.  The ``compact`` op (folding the log
+into a fresh base) and subscription registration always fence; every
+fence is counted in ``/metrics`` as ``drains``, so the
+no-drain-on-append property is observable.  On every backend a write
+also waits for its own connection's earlier queries to answer, so a
+pipelined query before an insert observes the old state.
 
 **Backpressure.**  The admission queue is bounded; beyond capacity the
 server immediately answers ``overloaded`` instead of queueing without
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import logging
 import threading
@@ -56,7 +58,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.planner import backend_of
-from repro.engine.spec import QuerySpec
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -94,59 +95,36 @@ STOP_TIMEOUT = 5.0
 START_TIMEOUT = 10.0
 
 
-class GenerationGate:
-    """Writer-preferring read/write arbitration for generation safety.
+def execute_batch(db, engine, specs, flags, workers: int = 1):
+    """Run one batch on the calling thread; return ``(outcome, bodies)``.
 
-    Query batches hold *read* leases (many at once is safe -- they only
-    read); a mutation takes the *write* lease, which waits for every
-    in-flight batch to drain and blocks new batches from starting
-    first.  Writer preference keeps the mutation from starving behind
-    a saturated query stream.
+    The one place batch response bodies are built: on
+    :class:`RknnServer`'s executor thread and in each fleet worker's
+    dispatch loop -- both serialization points, so the generation (and
+    snapshot ``stamp``) read here is the state the engine answers from.
+    ``flags`` is index-aligned with ``specs`` (see
+    :func:`~repro.serve.protocol.request_query`).  When any is set,
+    the batch runs under one :class:`~repro.obs.trace.Tracer` and each
+    flagged body carries that span tree -- an ``"explain"`` body also
+    its compiled plan; unflagged bodies stay trace-free.
     """
+    generation = db.generation
+    stamp = getattr(db, "stamp", None)
+    tracer = Tracer() if any(flags) else None
+    outcome = engine.run_batch(specs, workers=workers, tracer=tracer)
+    bodies = [protocol.result_payload(result, generation, stamp)
+              for result in outcome.results]
+    if tracer is not None:
+        from repro.qlang.api import build_plan
 
-    def __init__(self):
-        self._cond = asyncio.Condition()
-        self._readers = 0
-        self._writers_waiting = 0
-        self._writing = False
-        #: Exclusive leases granted so far -- i.e. how many times the
-        #: gate drained readers.  Appends on a delta-overlay backend
-        #: never touch the gate, so this stays at the compaction count
-        #: there (surfaced through ``/metrics`` as ``drains``).
-        self.drains = 0
-
-    @contextlib.asynccontextmanager
-    async def read_lease(self):
-        """Hold a shared lease: the generation cannot change inside."""
-        async with self._cond:
-            while self._writing or self._writers_waiting:
-                await self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            async with self._cond:
-                self._readers -= 1
-                self._cond.notify_all()
-
-    @contextlib.asynccontextmanager
-    async def write_lease(self):
-        """Hold the exclusive lease: every batch has drained inside."""
-        async with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writing or self._readers:
-                    await self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writing = True
-            self.drains += 1
-        try:
-            yield
-        finally:
-            async with self._cond:
-                self._writing = False
-                self._cond.notify_all()
+        tree = tracer.to_payload()
+        for body, spec, flag in zip(bodies, specs, flags):
+            if flag is not None:
+                body["trace"] = tree
+            if flag == "explain":
+                body["explain"] = True
+                body["plan"] = build_plan(engine, spec)
+    return outcome, bodies
 
 
 class _Subscription:
@@ -165,16 +143,18 @@ class ConnectionServer:
     a request is executed.  Subclasses plug in the execution policy
     through hooks: :meth:`_boot` / :meth:`_release` (execution state
     set up before the first connection and torn down after the last),
-    :meth:`_admit_query` (a query's pending outcome), :meth:`_mutate` /
+    :meth:`_batcher_for` (the batcher a query joins), :meth:`_mutate` /
     :meth:`_compact` / :meth:`_subscribe` (the non-query ops), and
     :meth:`metrics` / :meth:`_health` (introspection).
     :class:`RknnServer` executes in-process;
     :class:`~repro.serve.fleet.FleetServer` routes to worker
     processes.
 
-    The base owns the server's one :attr:`registry` and its end-to-end
-    ``request_seconds`` histogram: every JSON-lines request, from the
-    moment its line is read to the moment its response is written.
+    The base owns the server's one :attr:`registry`, its end-to-end
+    ``request_seconds`` histogram (every JSON-lines request, from the
+    moment its line is read to the moment its response is written) and
+    its ``queue_wait_seconds`` histogram (every query, from admission
+    into a batcher to the start of its batch).
     """
 
     def __init__(self):
@@ -197,6 +177,10 @@ class ConnectionServer:
             "request_seconds",
             "End-to-end request latency, line read to response written "
             "(seconds)",
+        )
+        self.queue_wait = self.registry.histogram(
+            "queue_wait_seconds",
+            "Admission queue wait, admit to batch start (seconds)",
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -291,14 +275,9 @@ class ConnectionServer:
     async def _release(self) -> None:
         """Tear down the execution state (waiting requests fail)."""
 
-    def _admit_query(self, payload: dict):
-        """Admit one ``query`` request; return its pending outcome.
-
-        The return value is a future resolving to a response body (or
-        a ``(result, generation[, stamp])`` tuple), or a ready body
-        dict.  May raise :class:`~repro.serve.batcher.QueueFull` to
-        shed the request.
-        """
+    def _batcher_for(self, spec) -> MicroBatcher:
+        """The batcher a query joins (may raise
+        :class:`~repro.errors.ReproError` to refuse it)."""
         raise NotImplementedError
 
     async def _mutate(self, op: str, payload: dict) -> dict:
@@ -356,20 +335,22 @@ class ConnectionServer:
                                writer: asyncio.StreamWriter) -> None:
         """The JSON-lines loop: pipelined requests, ordered responses.
 
-        Every request is admitted *at read time* -- queries go straight
-        into the batcher (so a connection that pipelines N queries
-        coalesces them into shared batches), introspection answers
-        synchronously, and mutations/subscriptions *barrier the read
-        loop*: no later line on the connection is read until they
-        complete, so a pipelined query after an insert always observes
-        the bumped generation (per-connection read-your-writes).  A
-        per-connection drain preserves response order, and stamps each
-        request's end-to-end latency once its response is written.
+        Every query is admitted *at read time* straight into a batcher
+        (so a connection that pipelines N queries coalesces them into
+        shared batches), and introspection answers synchronously.
+        Mutations and subscriptions are ordered both ways on their
+        connection: one starts only once the connection's earlier
+        queries have answered (a pipelined query before an insert
+        observes the old state), and it *barriers the read loop* -- no
+        later line is read until it completes (a pipelined query after
+        an insert observes the new one).  A per-connection drain
+        preserves response order, and stamps each request's end-to-end
+        latency once its response is written.
         """
+        loop = asyncio.get_running_loop()
         responses: asyncio.Queue = asyncio.Queue()
-        drain = asyncio.get_running_loop().create_task(
-            self._drain_responses(responses, writer)
-        )
+        drain = loop.create_task(self._drain_responses(responses, writer))
+        queries: set[asyncio.Future] = set()  # this connection's unanswered
         try:
             line = first
             while line:
@@ -377,11 +358,18 @@ class ConnectionServer:
                 if stripped:
                     read_at = time.perf_counter()
                     request_id, pending = self._admit(stripped, writer)
+                    if isinstance(pending, asyncio.Future):
+                        queries.add(pending)
+                        pending.add_done_callback(queries.discard)
+                    elif callable(pending):  # a mutation or subscription
+                        if queries:
+                            await asyncio.wait(queries)
+                        pending = loop.create_task(pending())
                     await responses.put((request_id, pending, read_at))
                     if isinstance(pending, asyncio.Task):
-                        # the mutation barrier; also bounds this
-                        # connection to one task in flight (its failure
-                        # reaches the client through the drain)
+                        # the read barrier; also bounds this connection
+                        # to one task in flight (its failure reaches the
+                        # client through the drain)
                         with contextlib.suppress(Exception):
                             await pending
                 if (writer.transport.get_write_buffer_size()
@@ -400,11 +388,11 @@ class ConnectionServer:
         """Admit one request line; return ``(request id, pending)``.
 
         ``pending`` is a ready response body (admission errors, shed
-        requests, introspection), a batcher future resolving to
-        ``(result, generation)`` (queries -- the fast path: no
-        per-request task), or a task computing the body (mutations and
-        subscriptions -- the read loop awaits these before admitting
-        anything later on the connection).
+        requests, introspection), a batcher future resolving to the
+        body (queries -- the fast path: no per-request task), or a
+        zero-argument callable returning the coroutine that computes
+        the body (mutations and subscriptions -- the read loop starts
+        it in connection order).
         """
         try:
             payload = protocol.decode(line)
@@ -415,7 +403,11 @@ class ConnectionServer:
         op = payload.get("op", "query")
         if op == "query":
             try:
-                return request_id, self._admit_query(payload)
+                spec, flag = protocol.request_query(payload)
+                batcher = self._batcher_for(spec)
+                if flag is None:  # plain queries pass the spec alone
+                    return request_id, batcher.admit(spec)
+                return request_id, batcher.admit(spec, flag)
             except QueueFull as exc:
                 logger.warning("shed query (queue depth %d)", exc.depth)
                 return request_id, protocol.overloaded_payload(exc.depth)
@@ -436,10 +428,7 @@ class ConnectionServer:
             return request_id, protocol.error_payload(
                 f"unknown op {op!r}; choose one of {protocol.OPS}"
             )
-        task = asyncio.get_running_loop().create_task(
-            self._respond(payload, writer)
-        )
-        return request_id, task
+        return request_id, functools.partial(self._respond, payload, writer)
 
     async def _drain_responses(self, queue: asyncio.Queue,
                                writer: asyncio.StreamWriter) -> None:
@@ -452,9 +441,7 @@ class ConnectionServer:
                 payload = pending
             else:
                 try:
-                    outcome = await pending
-                    payload = (protocol.result_payload(*outcome)
-                               if isinstance(outcome, tuple) else outcome)
+                    payload = await pending
                 except Exception as exc:  # defensive: never kill the drain
                     payload = protocol.error_payload(str(exc))
                     self.errors += 1
@@ -562,22 +549,21 @@ class RknnServer(ConnectionServer):
         self.engine = db.engine(cache_entries=cache_entries,
                                 slow_log=slow_log)
         self.workers = workers
-        self.queue_wait = self.registry.histogram(
-            "queue_wait_seconds",
-            "Admission queue wait, admit to batch start (seconds)",
-        )
         self.batcher = MicroBatcher(
             self._run_batch, window=window,
             max_batch=max_batch, max_queue=max_queue,
             on_wait=self.queue_wait.observe,
         )
-        self._gate = GenerationGate()
         # Delta-overlay backends expose a snapshot stamp: mutations
         # append instead of fencing, and responses carry the stamp.
         self._overlay = getattr(db, "stamp", None) is not None
-        # one thread: batches and mutations never share the interpreter
-        # state concurrently even if the gate were misused
+        # one thread: every batch, write, fold and registration is one
+        # task here, so this executor is the server's only ordering point
         self._executor = ThreadPoolExecutor(max_workers=1)
+        #: Batcher fences taken before an exclusive operation (non-append
+        #: writes, folds, subscriptions) -- i.e. how many times readers
+        #: were drained.  Overlay appends never fence.
+        self.drains = 0
         self.queries_served = 0
         self.mutations_applied = 0
         self.compactions = 0
@@ -601,8 +587,8 @@ class RknnServer(ConnectionServer):
                          fn=lambda: self.mutations_applied)
         registry.counter("compactions", "Delta-log folds",
                          fn=lambda: self.compactions)
-        registry.counter("drains", "Generation-gate reader drains",
-                         fn=lambda: self._gate.drains)
+        registry.counter("drains", "Batcher fences (reader drains)",
+                         fn=lambda: self.drains)
         registry.counter("errors", "Requests answered with an error",
                          fn=lambda: self.errors)
         registry.counter("events_pushed", "Membership events pushed",
@@ -654,155 +640,64 @@ class RknnServer(ConnectionServer):
         await self.batcher.close()
         self._executor.shutdown(wait=True)
 
-    # -- admission (the base class's query hook) ----------------------------
+    def _batcher_for(self, spec) -> MicroBatcher:
+        """Every query joins the one batcher."""
+        return self.batcher
 
-    def _admit_query(self, payload: dict):
-        """Admit a query straight into the micro-batcher (fast path).
+    # -- execution: one executor task per batch, write, fold ----------------
 
-        A ``trace``-flagged (or ``EXPLAIN``) request bypasses the
-        batcher and runs as its own dedicated engine batch instead, so
-        its span tree covers exactly that request -- the diagnostics
-        path, deliberately unbatched.
-        """
-        spec, trace, explain = protocol.request_query(payload)
-        if trace:
-            return asyncio.get_running_loop().create_task(
-                self._run_traced(spec, explain)
-            )
-        return self.batcher.admit(spec)
+    async def _run(self, fn, *args):
+        """Run ``fn(*args)`` as one task on the single-thread executor."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
 
-    async def _run_traced(self, spec: QuerySpec, explain: bool) -> dict:
-        """Execute one spec as a dedicated traced batch; build its body.
+    async def _fence(self) -> None:
+        """Let every query admitted so far execute first; count it."""
+        await self.batcher.fence()
+        self.drains += 1
 
-        Mirrors :meth:`_run_batch`'s snapshot discipline (overlay
-        backends capture the stamp on the executor thread; others hold
-        a read lease) and attaches the span tree -- plus, for
-        ``EXPLAIN``, the compiled plan -- to the response.
-        """
-        from repro.qlang.api import build_plan
-
-        loop = asyncio.get_running_loop()
-        tracer = Tracer()
-        if self._overlay:
-            def execute():
-                generation = self.db.generation
-                stamp = self.db.stamp
-                outcome = self.engine.run_batch(
-                    [spec], workers=self.workers, tracer=tracer
-                )
-                return outcome, generation, stamp
-
-            outcome, generation, stamp = await loop.run_in_executor(
-                self._executor, execute
-            )
-        else:
-            stamp = None
-            async with self._gate.read_lease():
-                generation = self.db.generation
-                outcome = await loop.run_in_executor(
-                    self._executor,
-                    lambda: self.engine.run_batch(
-                        [spec], workers=self.workers, tracer=tracer
-                    ),
-                )
-        self.queries_served += 1
-        self.latency.observe(outcome.elapsed_seconds)
-        body = protocol.result_payload(outcome.results[0], generation, stamp)
-        body["trace"] = tracer.to_payload()
-        if explain:
-            body["explain"] = True
-            body["plan"] = build_plan(self.engine, spec)
-        return body
-
-    # -- batch execution (the batcher's runner) -----------------------------
-
-    async def _run_batch(self, specs: list[QuerySpec]):
-        """Execute one coalesced batch; stamp every result's snapshot.
-
-        Disk/sharded backends run under a generation read lease (the
-        gate keeps a mutation from landing mid-batch).  Delta-overlay
-        backends need no lease: the executor task captures the stamp
-        *on the executor thread*, immediately before the engine runs,
-        so the stamp and the answers come from the same serialized
-        interval -- appends land as whole executor tasks and can never
-        interleave with a running batch.
-        """
-        loop = asyncio.get_running_loop()
-        if self._overlay:
-            def execute():
-                generation = self.db.generation
-                stamp = self.db.stamp
-                outcome = self.engine.run_batch(specs, workers=self.workers)
-                return outcome, generation, stamp
-
-            outcome, generation, stamp = await loop.run_in_executor(
-                self._executor, execute
-            )
-            self.queries_served += len(specs)
-            self.latency.observe(outcome.elapsed_seconds)
-            return [(result, generation, stamp) for result in outcome.results]
-        async with self._gate.read_lease():
-            generation = self.db.generation
-            outcome = await loop.run_in_executor(
-                self._executor,
-                lambda: self.engine.run_batch(specs, workers=self.workers),
-            )
+    async def _run_batch(self, specs, flags) -> list[dict]:
+        """The batcher's runner: one coalesced batch as one executor
+        task, answered as response bodies (see :func:`execute_batch`)."""
+        outcome, bodies = await self._run(
+            execute_batch, self.db, self.engine, specs, flags, self.workers
+        )
         self.queries_served += len(specs)
         self.latency.observe(outcome.elapsed_seconds)
-        return [(result, generation) for result in outcome.results]
-
-    # -- mutations and the generation swap ----------------------------------
+        return bodies
 
     async def _mutate(self, op: str, payload: dict) -> dict:
         """Apply one mutation; push events.
 
-        Overlay backends **append**: no fence, no exclusive lease --
-        the write and the subscription refreshes run as one task on
-        the single-thread executor, serialized against batches but
-        never draining them, and the response carries the post-append
-        stamp.  Other backends keep the generation swap: fence, drain,
-        apply, bump.
+        The write and the subscription refreshes run as one executor
+        task.  Disk and sharded databases fence first, so queries
+        admitted before the write run at the old generation; overlay
+        backends append without a fence -- readers never drain -- and
+        the response carries the post-append stamp.
         """
         pid = int(payload["pid"])
-        if op == "insert":
-            location = payload["location"]
-            if isinstance(location, list):
-                location = tuple(location)
-            apply = lambda: self.db.insert_point(pid, location)  # noqa: E731
-        else:
-            apply = lambda: self.db.delete_point(pid)  # noqa: E731
-        loop = asyncio.get_running_loop()
-        if self._overlay:
-            def apply_and_refresh():
-                outcome = apply()
-                generation = self.db.generation
-                stamp = self.db.stamp
-                refreshed = [
-                    (sub, sub.monitor.refresh())
-                    for sub in list(self._subscriptions.values())
-                ]
-                return outcome, generation, stamp, refreshed
+        location = payload["location"] if op == "insert" else None
+        if isinstance(location, list):
+            location = tuple(location)
 
-            outcome, generation, stamp, refreshed = await loop.run_in_executor(
-                self._executor, apply_and_refresh
-            )
-        else:
-            stamp = None
-            # queries admitted before this mutation must run first (at
-            # the old generation); the write lease then drains the
-            # running batch
-            await self.batcher.fence()
-            async with self._gate.write_lease():
-                # every in-flight batch has drained; batches admitted
-                # behind us will observe the bumped generation
-                outcome = await loop.run_in_executor(self._executor, apply)
-                generation = self.db.generation
-                refreshed = []
-                for sub in list(self._subscriptions.values()):
-                    events = await loop.run_in_executor(
-                        self._executor, sub.monitor.refresh
-                    )
-                    refreshed.append((sub, events))
+        def apply_and_refresh():
+            if op == "insert":
+                outcome = self.db.insert_point(pid, location)
+            else:
+                outcome = self.db.delete_point(pid)
+            refreshed = [
+                (sub, sub.monitor.refresh())
+                for sub in list(self._subscriptions.values())
+            ]
+            stamp = getattr(self.db, "stamp", None)
+            return outcome, self.db.generation, stamp, refreshed
+
+        if not self._overlay:
+            await self._fence()
+        outcome, generation, stamp, refreshed = await self._run(
+            apply_and_refresh
+        )
         self.mutations_applied += 1
         for sub, events in refreshed:
             for event in events:
@@ -831,23 +726,22 @@ class RknnServer(ConnectionServer):
     async def _compact(self) -> dict:
         """Fold the overlay log into a fresh base: the one drain point.
 
-        Admitted queries run first (fence), in-flight batches drain
-        (exclusive lease), then the fold runs on the executor and the
-        base generation bumps.  Pinned client state is unaffected --
-        compaction changes no answers -- but batches admitted behind
-        the compaction observe the fresh base stamp.
+        Admitted queries run first (fence), then the fold runs as one
+        executor task and the base generation bumps.  Pinned client
+        state is unaffected -- compaction changes no answers -- but
+        batches after the fold observe the fresh base stamp.
         """
         if not self._overlay or not hasattr(self.db, "compact"):
             raise ReproError(
                 "compact requires a delta-overlay database "
                 "(the compact backend)"
             )
-        loop = asyncio.get_running_loop()
-        await self.batcher.fence()
-        async with self._gate.write_lease():
-            outcome = await loop.run_in_executor(self._executor, self.db.compact)
-            generation = self.db.generation
-            stamp = self.db.stamp
+
+        def fold():
+            return self.db.compact(), self.db.generation, self.db.stamp
+
+        await self._fence()
+        outcome, generation, stamp = await self._run(fold)
         self.compactions += 1
         logger.info(
             "compacted %d folded operations; new stamp (%d, %d)",
@@ -868,20 +762,23 @@ class RknnServer(ConnectionServer):
         queries = {int(qid): int(node)
                    for qid, node in dict(payload["queries"]).items()}
         k = int(payload.get("k", 1))
-        loop = asyncio.get_running_loop()
-        async with self._gate.write_lease():
-            # monitor registration may materialize K-NN lists: exclusive
-            monitor = await loop.run_in_executor(
-                self._executor, lambda: RnnMonitor(self.db, queries, k=k)
-            )
-            generation = self.db.generation
-        self._subscriptions[writer] = _Subscription(monitor, writer)
+
+        def register():
+            # one executor task: no write lands between the monitor's
+            # initial answers and its registration for refreshes
+            monitor = RnnMonitor(self.db, queries, k=k)
+            self._subscriptions[writer] = _Subscription(monitor, writer)
+            results = {str(qid): monitor.result(qid) for qid in queries}
+            return self.db.generation, results
+
+        await self._fence()
+        generation, results = await self._run(register)
         return {
             "status": "ok",
             "subscribed": sorted(queries),
             "k": k,
             "generation": generation,
-            "results": {str(qid): monitor.result(qid) for qid in queries},
+            "results": results,
         }
 
     # -- introspection ------------------------------------------------------
@@ -897,7 +794,7 @@ class RknnServer(ConnectionServer):
             "queries_served": self.queries_served,
             "mutations_applied": self.mutations_applied,
             "compactions": self.compactions,
-            "drains": self._gate.drains,
+            "drains": self.drains,
             "errors": self.errors,
             "events_pushed": self.events_pushed,
             "subscriptions": len(self._subscriptions),

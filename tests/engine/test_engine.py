@@ -81,12 +81,6 @@ class TestBatchEqualsSequential:
         outcome = db.engine().run_batch(mixed_specs, workers=4)
         assert batch_answers(outcome) == want
 
-    def test_unplanned_batch(self, db, mixed_specs):
-        want = sequential_answers(db, mixed_specs)
-        outcome = db.engine(plan=False).run_batch(mixed_specs)
-        assert batch_answers(outcome) == want
-        assert outcome.order == tuple(range(len(mixed_specs)))
-
     def test_uncached_batch(self, db, mixed_specs):
         want = sequential_answers(db, mixed_specs)
         outcome = db.engine(cache_entries=0).run_batch(mixed_specs, workers=2)

@@ -97,5 +97,5 @@ class TestExecute:
         explained = db.query(STATEMENT)
         plan = explained.plan
         assert {"spec", "backend", "method", "expands",
-                "kernel_eligible", "cache_stamp", "planned"} <= set(plan)
+                "kernel_eligible", "cache_stamp"} <= set(plan)
         assert plan["expands"] is False

@@ -21,10 +21,12 @@ class _Recorder:
 
     def __init__(self, delay: float = 0.0):
         self.batches: list[list[QuerySpec]] = []
+        self.flags: list[list] = []
         self.delay = delay
 
-    async def __call__(self, specs):
+    async def __call__(self, specs, flags):
         self.batches.append(list(specs))
+        self.flags.append(list(flags))
         if self.delay:
             await asyncio.sleep(self.delay)
         return [f"result-{s.query}" for s in specs]
@@ -121,7 +123,7 @@ class _Gated:
         self.started = asyncio.Event()
         self.release = asyncio.Event()
 
-    async def __call__(self, specs):
+    async def __call__(self, specs, flags):
         self.batches.append([s.query for s in specs])
         self.started.set()
         await self.release.wait()
@@ -224,7 +226,7 @@ class TestBackpressure:
 
 class TestFailure:
     def test_runner_exception_fails_the_batch(self):
-        async def failing(specs):
+        async def failing(specs, flags):
             raise RuntimeError("engine exploded")
 
         async def scenario():
@@ -243,3 +245,44 @@ class TestFailure:
                 await batcher.submit(spec(1))
 
         run(scenario())
+
+
+class TestFlags:
+    def test_flags_reach_the_runner_index_aligned(self):
+        """A request's admission flag travels with its spec; plain
+        admissions (spec only) arrive as ``None``."""
+        async def scenario():
+            runner = _Recorder()
+            batcher = MicroBatcher(runner)
+            futures = [batcher.admit(spec(0)),
+                       batcher.admit(spec(1), "trace"),
+                       batcher.admit(spec(2)),
+                       batcher.admit(spec(3), "explain")]
+            await asyncio.gather(*futures)
+            await batcher.close()
+            return runner
+
+        runner = run(scenario())
+        assert [[s.query for s in b] for b in runner.batches] == [[0, 1, 2, 3]]
+        assert runner.flags == [[None, "trace", None, "explain"]]
+
+    def test_isolated_retry_keeps_each_flag(self):
+        """A failing batch retries its members one by one, each with
+        its own flag."""
+        seen = []
+
+        async def picky(specs, flags):
+            seen.append(list(zip((s.query for s in specs), flags)))
+            if len(specs) > 1:
+                raise RuntimeError("one bad spec")
+            return ["ok"]
+
+        async def scenario():
+            batcher = MicroBatcher(picky)
+            futures = [batcher.admit(spec(0), "trace"), batcher.admit(spec(1))]
+            results = await asyncio.gather(*futures)
+            await batcher.close()
+            return results
+
+        assert run(scenario()) == ["ok", "ok"]
+        assert seen == [[(0, "trace"), (1, None)], [(0, "trace")], [(1, None)]]

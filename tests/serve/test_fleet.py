@@ -184,6 +184,34 @@ class TestObservability:
                 assert client.rknn(node, k=1)["status"] == "ok"
         assert count() - before == 4
 
+    def test_queue_wait_counts_every_query(self, fleet):
+        """Each served query waits in a worker's batcher once -- traced
+        and EXPLAIN requests included, since they ride the batchers."""
+        handle, _ = fleet
+
+        def counts() -> tuple[float, int]:
+            text = http_get_text(handle.host, handle.port,
+                                 "/metrics?format=prometheus")
+            body = http_get(handle.host, handle.port, "/metrics")
+            return (parse_prometheus_text(text)
+                    ["repro_queue_wait_seconds_count"],
+                    body["queue_wait"]["count"])
+
+        before = counts()
+        with client_of(handle) as client:
+            for node in range(3):
+                assert client.rknn(node, k=1)["status"] == "ok"
+            traced = client.request({"op": "query", "kind": "knn",
+                                     "query": 5, "trace": True})
+            explained = client.request({
+                "op": "query",
+                "statement": "EXPLAIN SELECT * FROM rknn(query=6, k=2)",
+            })
+        assert "trace" in traced and "plan" in explained
+        after = counts()
+        assert after[0] - before[0] == 5
+        assert after[1] - before[1] == 5
+
     def test_traced_query_carries_span_tree(self, fleet, inputs):
         handle, db = fleet
         with client_of(handle) as client:

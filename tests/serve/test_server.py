@@ -1,4 +1,4 @@
-"""RknnServer: protocol surface, batching, backpressure, generation swap."""
+"""RknnServer: protocol surface, batching, backpressure, write ordering."""
 
 import errno
 import json
@@ -10,10 +10,10 @@ import time
 import pytest
 
 from repro.api import GraphDatabase
+from repro.engine.engine import QueryEngine
 from repro.obs import SlowQueryLog, parse_prometheus_text
 from repro.points.points import NodePointSet
 from repro.serve import ServeClient, http_get, http_get_text, serve_in_thread
-from repro.serve.server import GenerationGate
 
 from tests.serve.conftest import a_route, build_db, build_inputs, free_nodes
 
@@ -365,6 +365,35 @@ class TestObservability:
         assert {"engine.run_batch", "execute.rknn"} <= names
         assert "trace" not in plain  # untraced requests stay trace-free
 
+    def test_traced_request_shares_a_batch_with_plain_ones(self, inputs):
+        """A traced request rides the batcher: pipelined next to plain
+        queries it runs in their batch, its body carries that batch's
+        span tree, the plain bodies stay trace-free, and every request
+        is counted in ``queue_wait``."""
+        graph, placement = inputs
+        db = build_db("compact", graph, placement)
+        reference = build_db("compact", graph, placement)
+        requests = [{"op": "query", "kind": "rknn", "query": q, "k": 2,
+                     "method": "eager"} for q in (3, 13, 23)]
+        requests[1]["trace"] = True
+        with serve_in_thread(db) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                before = client.metrics()
+                responses = client.pipeline(requests)
+                after = client.metrics()
+        assert (after["admission"]["batches"]
+                - before["admission"]["batches"]) == 1
+        assert (after["queue_wait"]["count"]
+                - before["queue_wait"]["count"]) == 3
+        plain_first, traced, plain_last = responses
+        assert "trace" not in plain_first and "trace" not in plain_last
+        root = [span for span in traced["trace"]["spans"]
+                if span["name"] == "engine.run_batch"]
+        assert len(root) == 1 and root[0]["attributes"]["specs"] == 3
+        for request, response in zip(requests, responses):
+            direct = reference.rknn(request["query"], 2, method="eager")
+            assert response["points"] == list(direct.points)
+
     def test_explain_statement_answers_plan_and_trace(self, db, reference):
         with serve_in_thread(db) as handle:
             with ServeClient(handle.host, handle.port) as client:
@@ -403,49 +432,59 @@ class TestObservability:
         assert entry["backend"] == "disk"
 
 
-class TestGenerationGate:
-    def test_writer_waits_for_readers_and_blocks_new_ones(self):
-        import asyncio
+class TestConnectionOrder:
+    @pytest.mark.parametrize("backend", ["compact", "disk"])
+    def test_pipelined_query_before_insert_sees_old_state(
+            self, inputs, monkeypatch, backend):
+        """A query pipelined before an insert on one connection answers
+        at the pre-insert state, even while another connection's batch
+        holds the executor -- overlay appends take no fence, so only
+        the connection's own order keeps the two apart."""
+        graph, placement = inputs
+        target = free_nodes(graph, placement, 1)[0]
+        reference = build_db(backend, graph, placement)
+        expected = [[p, d] for p, d in reference.knn(target, 1).neighbors]
+        entered, release = threading.Event(), threading.Event()
+        original = QueryEngine.run_batch
+        calls = []
 
-        log = []
+        def held_run_batch(self, specs, *args, **kwargs):
+            calls.append(len(specs))
+            if len(calls) == 1:  # the other connection's batch
+                entered.set()
+                release.wait(timeout=30)
+            return original(self, specs, *args, **kwargs)
 
-        async def scenario():
-            gate = GenerationGate()
-            release_reader = asyncio.Event()
-
-            async def reader(name, wait):
-                async with gate.read_lease():
-                    log.append(f"{name}-in")
-                    if wait:
-                        await release_reader.wait()
-                log.append(f"{name}-out")
-
-            async def writer():
-                async with gate.write_lease():
-                    log.append("write")
-
-            first = asyncio.ensure_future(reader("r1", wait=True))
-            await asyncio.sleep(0.01)
-            write = asyncio.ensure_future(writer())
-            await asyncio.sleep(0.01)
-            second = asyncio.ensure_future(reader("r2", wait=False))
-            await asyncio.sleep(0.01)
-            # writer preference: r2 must not slip in while the writer waits
-            assert "r2-in" not in log and "write" not in log
-            release_reader.set()
-            await asyncio.gather(first, write, second)
-
-        asyncio.run(scenario())
-        assert log.index("write") > log.index("r1-out")
-        assert log.index("r2-in") > log.index("write")
+        monkeypatch.setattr(QueryEngine, "run_batch", held_run_batch)
+        db = build_db(backend, graph, placement)
+        with serve_in_thread(db) as handle:
+            with ServeClient(handle.host, handle.port) as other, \
+                    ServeClient(handle.host, handle.port) as client:
+                other.send({"op": "query", "kind": "knn", "query": 0})
+                assert entered.wait(timeout=10)
+                client.send({"op": "query", "kind": "knn", "query": target})
+                client.send({"op": "insert", "pid": 500, "location": target})
+                time.sleep(0.2)  # both lines are read while the batch runs
+                release.set()
+                before = client.recv_response()
+                inserted = client.recv_response()
+                assert other.recv_response()["status"] == "ok"
+                after = client.knn(target, k=1)
+        assert before["status"] == inserted["status"] == "ok"
+        assert before["generation"] == 0
+        assert before.get("delta_epoch", 0) == 0
+        assert before["neighbors"] == expected
+        assert inserted["generation"] == 1
+        assert after["neighbors"] == [[500, 0.0]]
 
 
 class TestConcurrentMixedWorkload:
-    def test_no_response_mixes_generations(self, inputs):
+    @pytest.mark.parametrize("backend", ["disk", "sharded"])
+    def test_no_response_mixes_generations(self, inputs, backend):
         """Queries racing mutations: every answer matches a direct
         facade call at the generation the response claims."""
         graph, placement = inputs
-        db = build_db("disk", graph, placement)
+        db = build_db(backend, graph, placement)
         targets = free_nodes(graph, placement, 4)
         mutations = [("insert", 600 + i, node) for i, node in enumerate(targets)]
         mutations += [("delete", 600 + i, None) for i in range(2)]

@@ -78,14 +78,6 @@ class TestShardedBatches:
         assert shard_reads >= 1
         assert shard_reads + shard_hits >= outcome.counters.logical_reads > 0
 
-    def test_shard_parallel_off_still_correct(self, setup, sharded):
-        _, _, specs = setup
-        on = sharded.engine(cache_entries=0)
-        off = sharded.engine(cache_entries=0, shard_parallel=False)
-        a = on.run_batch(specs, workers=3)
-        b = off.run_batch(specs, workers=3)
-        assert _answers(a.results) == _answers(b.results)
-
 
 class TestShardRouting:
     def test_home_shard_routes_by_owner(self, sharded):
